@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Census of Hall and reflexive relation counts per ground-set size.
 
-Streams every 0/1 matrix and counts those containing a permutation, then
-recomputes the same number with the independent inclusion-exclusion /
-permanent oracle so the two can be compared side by side.
+Counts the 0/1 matrices containing a permutation by the transfer-matrix
+method, then recomputes the same number with the independent oracle (Ryser's
+permanent over row multisets) so the two can be compared side by side.
 
 Usage:
   python scripts/hall_census.py --max-n 5 --workers 2
@@ -18,10 +18,10 @@ from hallkit import count_hall, count_hall_inclusion_exclusion, count_reflexive
 def main():
     parser = argparse.ArgumentParser(description="Hall relation census")
     parser.add_argument("--max-n", type=int, default=5, help="largest ground set (default: 5)")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes for the stream")
+    parser.add_argument("--workers", type=int, default=1, help="worker processes for the count")
     args = parser.parse_args()
 
-    header = f"{'n':>2} {'reflexive':>12} {'hall (stream)':>14} {'hall (oracle)':>14} {'agree':>6} {'stream s':>9} {'oracle s':>9}"
+    header = f"{'n':>2} {'reflexive':>12} {'hall (count)':>14} {'hall (oracle)':>14} {'agree':>6} {'count s':>9} {'oracle s':>9}"
     print(header)
     print("-" * len(header))
     for n in range(1, args.max_n + 1):

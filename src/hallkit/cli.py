@@ -187,11 +187,19 @@ def _cmd_semidirect(args):
     return results, "fail", ["projection onto the Hall monoid failed a check"]
 
 
+def _worker_count(args):
+    """--workers, else HALLKIT_WORKERS, else 1; count_hall rejects values below 1."""
+    if args.workers is not None:
+        return args.workers
+    text = os.environ.get("HALLKIT_WORKERS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"HALLKIT_WORKERS must be an integer, got {text!r}") from None
+
+
 def _cmd_count_hall(args):
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("HALLKIT_WORKERS", "1"))
-    report = enumeration.count_hall(args.n, workers)
+    report = enumeration.count_hall(args.n, _worker_count(args))
     results = {
         "n": report.n,
         "total_hall": report.total_hall,
@@ -298,17 +306,12 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_semidirect, echo=lambda a: {"n": a.n})
 
-    p = sub.add_parser("count-hall", parents=[common], help="stream-count Hall matrices")
+    p = sub.add_parser(
+        "count-hall", parents=[common], help="count Hall matrices by the transfer-matrix method"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--workers", type=int, default=None)
-    p.set_defaults(
-        handler=_cmd_count_hall,
-        echo=lambda a: {
-            "n": a.n,
-            "workers": a.workers if a.workers is not None
-            else int(os.environ.get("HALLKIT_WORKERS", "1")),
-        },
-    )
+    p.set_defaults(handler=_cmd_count_hall, echo=lambda a: {"n": a.n, "workers": _worker_count(a)})
 
     p = sub.add_parser("campaign", parents=[common], help="run the verification campaign")
     p.add_argument("--n", type=int, required=True)
@@ -332,12 +335,9 @@ def dispatch(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return None, 2 if exc.code else 0
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "inputs": args.echo(args),
-    }
+    report = {"schema": SCHEMA, "command": args.command, "inputs": {}}
     try:
+        report["inputs"] = args.echo(args)
         results, status, witnesses = args.handler(args)
     except ValueError as exc:
         report["results"] = {}

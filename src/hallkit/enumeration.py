@@ -1,17 +1,17 @@
-"""Streaming enumeration of Hall and reflexive relation monoids.
+"""Enumeration of Hall and reflexive relation monoids.
 
-Two independent routes establish every count. The streamed census walks all
-2^(n^2) matrices in ascending code order, partitioned by first-row value,
-and checks each matrix on its own (vectorized over blocks, with zero-row /
-zero-column rejection before the matching step). The cross-check oracle never
-looks at single matrices the same way: it is an inclusion-exclusion over the
-permutations of the ground set for small n, a memoized fold over unions of
-permutation supports at n = 4, and a signed Ryser permanent sweep at n = 5.
+Two independent routes establish every Hall count. count_hall merges all
+2^(n^2) matrices by matching state one row at a time, carrying integer
+multiplicities (the transfer-matrix method), partitioned by first-row value.
+The oracle, count_hall_inclusion_exclusion, runs no matching at all: it sums
+Ryser's permanent over the sorted multisets of nonzero rows, each weighted by
+its number of orderings.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -81,48 +81,57 @@ def _reach_masks(n):
     return out
 
 
-def _hall_flags(rows, n):
-    """Per-matrix perfect-matching test over blocks of row arrays.
+def _step(state, row, n):
+    """Matching states after reading one more row, elementwise over arrays.
 
-    The state word of a matrix tracks which column subsets are exactly
-    coverable by the rows consumed so far (bit k = subset mask k); a matrix
-    passes when the full-column subset is reachable.
+    Bit k of a state is set when column subset k is exactly matched by the
+    rows read so far; the empty subset (state 1) starts, and a state of 0
+    can never match every column.
     """
     clear = _reach_masks(n)
-    m = rows[0].shape[0]
-    state = np.ones(m, dtype=np.uint64)
-    for i in range(n):
-        new = np.zeros(m, dtype=np.uint64)
-        for c in range(n):
-            has = ((rows[i] >> np.uint32(c)) & np.uint32(1)).astype(np.uint64)
-            new |= ((state & clear[c]) << np.uint64(1 << c)) * has
-        state = new
+    new = np.zeros(state.shape, dtype=np.uint64)
+    for c in range(n):
+        has = ((row >> np.uint32(c)) & np.uint32(1)).astype(np.uint64)
+        new |= ((state & clear[c]) << np.uint64(1 << c)) * has
+    return new
+
+
+def _hall_flags(rows, n):
+    """Per-matrix perfect-matching test: fold _step over the rows of each
+    matrix and test the full-column bit."""
+    state = np.ones(rows[0].shape[0], dtype=np.uint64)
+    for row in rows:
+        state = _step(state, row, n)
     return (state >> np.uint64((1 << n) - 1)) & np.uint64(1) == 1
 
 
 def _count_partition(n, top):
-    """Hall matrices whose first row equals top, in one vectorized sweep."""
-    full = (1 << n) - 1
-    rest = 1 << (n * (n - 1))
-    codes = (np.arange(rest, dtype=np.uint64) << np.uint64(n)) | np.uint64(top)
-    rows = _rows_of_codes(codes, n)
-    alive = np.ones(rest, dtype=bool)
-    colunion = np.zeros(rest, dtype=np.uint32)
-    for r in rows:
-        alive &= r != 0
-        colunion |= r
-    alive &= colunion == full
-    rows = [r[alive] for r in rows]
-    if rows[0].shape[0] == 0:
-        return 0
-    return int(np.count_nonzero(_hall_flags(rows, n)))
+    """Hall matrices whose first row equals top, by the transfer-matrix method.
+
+    Matrices are merged by matching state one row at a time, each distinct
+    state carrying the number of row prefixes that reach it. Zero rows and
+    dead states are dropped, since neither can lead to a Hall matrix.
+    """
+    rows = np.arange(1, 1 << n, dtype=np.uint32)
+    states = _step(np.ones(1, dtype=np.uint64), np.array([top], dtype=np.uint32), n)
+    weights = np.ones(1, dtype=np.int64)
+    for _ in range(n - 1):
+        nxt = _step(np.repeat(states, rows.size), np.tile(rows, states.size), n)
+        live = nxt != 0
+        states, inverse = np.unique(nxt[live], return_inverse=True)
+        merged = np.zeros(states.size, dtype=np.int64)
+        np.add.at(merged, inverse, np.repeat(weights, rows.size)[live])
+        weights = merged
+    full = (states >> np.uint64((1 << n) - 1)) & np.uint64(1) == 1
+    return int(weights[full].sum())
 
 
 def count_hall(n: int, workers: int = 1) -> EnumerationReport:
-    """Stream all 2^(n^2) matrices and count the Hall ones.
+    """Count the Hall matrices among all 2^(n^2) by the transfer-matrix method.
 
-    Partitioned by first-row value; partitions are summed in a fixed order, so
-    the count does not depend on the worker count.
+    The count is partitioned by first-row value; with workers > 1 the
+    partitions run in a process pool and are summed in a fixed order, so the
+    count does not depend on the worker count.
     """
     if not 1 <= n <= MAX_COUNT_DIM:
         raise ValueError(f"counting supported for 1 <= n <= {MAX_COUNT_DIM}, got {n}")
@@ -133,7 +142,8 @@ def count_hall(n: int, workers: int = 1) -> EnumerationReport:
     if workers == 1:
         counts = [_count_partition(n, t) for t in tops]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # only 2^n partitions exist; a larger pool would only start idle processes
+        with ProcessPoolExecutor(max_workers=min(workers, 1 << n)) as pool:
             counts = list(pool.map(_count_partition, itertools.repeat(n), tops))
     total = sum(counts)
     if n <= MAX_CENSUS_DIM:
@@ -164,78 +174,42 @@ def count_reflexive(n: int) -> int:
     return total
 
 
-def _permutation_supports(n):
-    supports = []
-    for p in itertools.permutations(range(n)):
-        mask = 0
-        for i, j in enumerate(p):
-            mask |= 1 << (i * n + j)
-        supports.append(mask)
-    return supports
-
-
-def _count_by_subset_sum(n):
-    """Inclusion-exclusion over all nonempty sets of permutations directly."""
-    supports = _permutation_supports(n)
-    cells = n * n
-    total = 0
-    for r in range(1, len(supports) + 1):
-        for combo in itertools.combinations(supports, r):
-            u = 0
-            for s in combo:
-                u |= s
-            total += (-1) ** (r + 1) * (1 << (cells - u.bit_count()))
-    return total
-
-
-def _count_by_union_fold(n):
-    """Same inclusion-exclusion, folded one permutation at a time with the
-    signed coefficients merged per distinct support union."""
-    coeff: dict[int, int] = {}
-    for s in _permutation_supports(n):
-        delta: dict[int, int] = {}
-        for m, c in coeff.items():
-            key = m | s
-            delta[key] = delta.get(key, 0) - c
-        delta[s] = delta.get(s, 0) + 1
-        for m, c in delta.items():
-            coeff[m] = coeff.get(m, 0) + c
-    cells = n * n
-    return sum(c * (1 << (cells - m.bit_count())) for m, c in coeff.items())
-
-
-def _count_by_permanent_sweep(n):
-    """Count matrices with nonzero permanent via vectorized Ryser sums."""
-    size = 1 << n
-    full = size - 1
-    popcount = np.array([s.bit_count() for s in range(size)], dtype=np.int64)
-    total = 0
-    rest = 1 << (n * (n - 1))
-    for top in range(size):
-        codes = (np.arange(rest, dtype=np.uint64) << np.uint64(n)) | np.uint64(top)
-        rows = [((codes >> np.uint64(i * n)) & np.uint64(full)).astype(np.int64) for i in range(n)]
-        per = np.zeros(rest, dtype=np.int64)
-        for s in range(1, size):
-            term = popcount[rows[0] & s].copy()
-            for i in range(1, n):
-                term *= popcount[rows[i] & s]
-            if (n - popcount[s]) & 1:
-                per -= term
-            else:
-                per += term
-        total += int(np.count_nonzero(per > 0))
-    return total
-
-
 def count_hall_inclusion_exclusion(n: int) -> int:
-    """Independent oracle for count_hall, never running the matching kernel."""
+    """Independent oracle for count_hall: Ryser's permanent over row multisets.
+
+    Ryser's formula is an inclusion-exclusion over column subsets s:
+    perm = sum_s (-1)^(n-|s|) prod_i |row_i & s|. The permanent does not
+    change when rows are permuted, so one sweep covers the sorted multisets
+    of n nonzero rows, each weighted by its n!/prod(multiplicity!) orderings;
+    a matrix with a zero row has permanent 0. No matching is ever run.
+    """
     if not 1 <= n <= MAX_COUNT_DIM:
         raise ValueError(f"oracle supported for 1 <= n <= {MAX_COUNT_DIM}, got {n}")
-    if n <= 3:
-        return _count_by_subset_sum(n)
-    if n == 4:
-        return _count_by_union_fold(n)
-    return _count_by_permanent_sweep(n)
+    size = 1 << n
+    multisets = math.comb(size + n - 2, n)
+    rows = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(1, size), n)),
+        dtype=np.int64,
+        count=multisets * n,
+    ).reshape(multisets, n)
+    # rows are sorted within a multiset, so run counts the copies of rows[:, i]
+    # among positions 0..i, and its product over i is prod(multiplicity!)
+    orderings = np.full(multisets, math.factorial(n), dtype=np.int64)
+    run = np.ones(multisets, dtype=np.int64)
+    for i in range(1, n):
+        run = np.where(rows[:, i] == rows[:, i - 1], run + 1, 1)
+        orderings //= run
+    popcount = np.array([s.bit_count() for s in range(size)], dtype=np.int64)
+    permanent = np.zeros(multisets, dtype=np.int64)
+    for s in range(1, size):
+        term = popcount[rows[:, 0] & s]
+        for i in range(1, n):
+            term *= popcount[rows[:, i] & s]
+        if (n - popcount[s]) & 1:
+            permanent -= term
+        else:
+            permanent += term
+    return int(orderings[permanent > 0].sum())
 
 
 def hall_idempotent_census(n: int):
@@ -253,7 +227,6 @@ def hall_idempotent_census(n: int):
 
 def _no_nonreflexive_hall_idempotent(n):
     diag = np.uint64(Relation.identity(n).code)
-    full = (1 << n) - 1
     codes = np.arange(1 << (n * n), dtype=np.uint64)
     rows = _rows_of_codes(codes, n)
     # square the matrices: row i of M^2 is the union of rows z with bit z in row i
@@ -267,18 +240,7 @@ def _no_nonreflexive_hall_idempotent(n):
         idem &= squares[i] == rows[i]
     reflexive = (codes & diag) == diag
     suspect = idem & ~reflexive
-    if not np.any(suspect):
-        return True
-    sub = [r[suspect] for r in rows]
-    alive = np.ones(sub[0].shape[0], dtype=bool)
-    colunion = np.zeros(sub[0].shape[0], dtype=np.uint32)
-    for r in sub:
-        alive &= r != 0
-        colunion |= r
-    alive &= colunion == full
-    if not np.any(alive):
-        return True
-    return not bool(np.any(_hall_flags([r[alive] for r in sub], n)))
+    return not bool(np.any(_hall_flags([r[suspect] for r in rows], n)))
 
 
 def materialize_reflexive(n: int):

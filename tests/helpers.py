@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from hallkit import Relation, compose, semigroup_of_relations
@@ -29,3 +30,17 @@ def random_relation_semigroups(count, max_order=20, seed=20260808):
             elems.sort(key=lambda r: r.code)
             out.append(semigroup_of_relations(elems)[0])
     return out
+
+
+def brute_hall_count(n, top=None):
+    """Oracle: try every permutation against every matrix (with first row
+    equal to top, when given)."""
+    perms = list(itertools.permutations(range(n)))
+    count = 0
+    for code in range(1 << (n * n)):
+        rows = [(code >> (i * n)) & ((1 << n) - 1) for i in range(n)]
+        if top is not None and rows[0] != top:
+            continue
+        if any(all(rows[i] >> p[i] & 1 for i in range(n)) for p in perms):
+            count += 1
+    return count

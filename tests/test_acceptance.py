@@ -3,11 +3,10 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
-import itertools
 import json
 import time
 
-from helpers import random_relation_semigroups
+from helpers import brute_hall_count, random_relation_semigroups
 
 import hallkit as hk
 from hallkit import (
@@ -39,16 +38,6 @@ from hallkit.cli import dispatch, render
 def verdict(num, ok, message):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {message}")
     assert ok, message
-
-
-def brute_hall_count(n):
-    perms = list(itertools.permutations(range(n)))
-    count = 0
-    for code in range(1 << (n * n)):
-        rows = [(code >> (i * n)) & ((1 << n) - 1) for i in range(n)]
-        if any(all(rows[i] >> p[i] & 1 for i in range(n)) for p in perms):
-            count += 1
-    return count
 
 
 def test_criterion_1_hall_counts():

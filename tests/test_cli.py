@@ -120,6 +120,15 @@ def test_count_hall_env_workers(monkeypatch):
     assert report["results"]["total_hall"] == 7
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_count_hall_bad_env_workers(monkeypatch, value):
+    monkeypatch.setenv("HALLKIT_WORKERS", value)
+    report, code = dispatch(["count-hall", "--n", "2", "--no-timing"])
+    assert code == 2
+    assert json.loads(render(report))["status"] == "error"
+    assert report["witnesses"]
+
+
 def test_campaign(files):
     report, code = dispatch(["campaign", "--n", "2", "--no-timing"])
     assert code == 0

@@ -1,7 +1,7 @@
-import itertools
 import math
 
 import pytest
+from helpers import brute_hall_count
 
 from hallkit import (
     Relation,
@@ -9,6 +9,7 @@ from hallkit import (
     count_hall,
     count_hall_inclusion_exclusion,
     count_reflexive,
+    enumeration,
     hall_idempotent_census,
     is_hall,
     is_reflexive,
@@ -16,23 +17,7 @@ from hallkit import (
     reflexive_relations,
     verification_campaign,
 )
-from hallkit.enumeration import (
-    _count_by_permanent_sweep,
-    _count_by_union_fold,
-    _hall_flags,
-    _rows_of_codes,
-)
-
-
-def brute_hall_count(n):
-    """Oracle: try every permutation against every matrix."""
-    perms = list(itertools.permutations(range(n)))
-    count = 0
-    for code in range(1 << (n * n)):
-        rows = [(code >> (i * n)) & ((1 << n) - 1) for i in range(n)]
-        if any(all(rows[i] >> p[i] & 1 for i in range(n)) for p in perms):
-            count += 1
-    return count
+from hallkit.enumeration import _count_partition, _hall_flags, _rows_of_codes
 
 
 def test_small_counts_match_brute_force():
@@ -97,8 +82,34 @@ def test_oracle_small_terms():
     assert count_hall_inclusion_exclusion(3) == 247
 
 
-def test_alternate_oracles_agree_at_4():
-    assert _count_by_union_fold(4) == _count_by_permanent_sweep(4)
+def test_partitions_match_brute_force():
+    # the worker split sums these per-first-row counts, so each must be exact
+    for n in (1, 2, 3):
+        for top in range(1 << n):
+            assert _count_partition(n, top) == brute_hall_count(n, top)
+
+
+def test_pool_sized_by_partitions(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
+    report = count_hall(2, workers=100000)
+    assert sizes == [4]
+    assert report.worker_count == 100000
+    assert report.total_hall == 7
 
 
 def test_range_errors():
