@@ -19,13 +19,9 @@ from . import enumeration
 from .constructions import (
     as_group,
     check_pairs_embedding,
-    conjugation_action,
     cyclic_group,
     hall_embedding,
-    hall_factorization,
     power_semigroup,
-    project_to_hall,
-    semidirect_product,
     symmetric_group_table,
 )
 from .relations import (
@@ -34,11 +30,8 @@ from .relations import (
     emit_relmat,
     is_hall,
     parse_relmat,
-    permutations_lex,
-    reflexive_relations,
 )
 from .semigroups import (
-    check_homomorphism,
     find_division,
     green_summary,
     is_block_group,
@@ -165,24 +158,17 @@ def _cmd_embed(args):
 
 def _cmd_semidirect(args):
     n = args.n
-    action = conjugation_action(n)
-    sd, sd_pairs = semidirect_product(action.target, action.group, action)
     hall, hall_elems = enumeration.materialize_hall(n)
-    refl_elems = list(reflexive_relations(n))
-    perms = permutations_lex(n)
-    index = {r: i for i, r in enumerate(hall_elems)}
-    mapping = tuple(index[project_to_hall(refl_elems[mi], perms[gi])] for (mi, gi) in sd_pairs)
-    hom = check_homomorphism(mapping, sd, hall)
-    roundtrip = all(project_to_hall(*hall_factorization(s)) == s for s in hall_elems)
+    check = enumeration.semidirect_surjection(n, hall, hall_elems)
     results = {
         "n": n,
-        "semidirect_order": sd.size,
-        "hall_order": hall.size,
-        "homomorphism": hom.is_homomorphism,
-        "surjective": hom.surjective,
-        "factorization_roundtrip": roundtrip,
+        "semidirect_order": check["pairs"],
+        "hall_order": check["hall_size"],
+        "homomorphism": check["homomorphism"],
+        "surjective": check["surjective"],
+        "factorization_roundtrip": check["factorization_roundtrip"],
     }
-    if hom.is_homomorphism and hom.surjective and roundtrip:
+    if check["homomorphism"] and check["surjective"] and check["factorization_roundtrip"]:
         return results, "pass", []
     return results, "fail", ["projection onto the Hall monoid failed a check"]
 

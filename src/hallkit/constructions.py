@@ -21,10 +21,9 @@ from .relations import (
     reflexive_relations,
     relation_of,
 )
-from .semigroups import FiniteSemigroup, semigroup_of_relations, validate_table
+from .semigroups import MAX_TABLE_SIZE, FiniteSemigroup, semigroup_of_relations, validate_table
 
 MAX_GROUP_ORDER = 64
-MAX_POWER_BASE = 16
 MAX_SEMIDIRECT_SIZE = 5000
 MAX_ACTION_DEGREE = 3
 
@@ -98,6 +97,8 @@ def cyclic_group(m: int) -> FiniteGroup:
     """The cyclic group of order m, identity first."""
     if m < 1:
         raise ValueError("order must be at least 1")
+    if m > MAX_TABLE_SIZE:
+        raise ValueError(f"order {m} exceeds the table cap {MAX_TABLE_SIZE}")
     labels = ["e"] + ["a" if k == 1 else f"a{k}" for k in range(1, m)]
     table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
     return as_group(validate_table(labels, table))
@@ -121,6 +122,13 @@ def symmetric_group_table(n: int) -> FiniteGroup:
     return as_group(validate_table(labels, table))
 
 
+def _check_subset_count(k: int) -> None:
+    """Refuse, before any work, a base whose 2^k - 1 nonempty subsets exceed the table cap."""
+    if (1 << k) - 1 > MAX_TABLE_SIZE:
+        raise ValueError(f"{(1 << k) - 1} nonempty subsets of {k} elements exceed the table cap"
+                         f" {MAX_TABLE_SIZE}")
+
+
 def power_semigroup(s: FiniteSemigroup):
     """The semigroup of all nonempty subsets under elementwise products.
 
@@ -128,8 +136,7 @@ def power_semigroup(s: FiniteSemigroup):
     over the base element indices.
     """
     k = s.size
-    if k > MAX_POWER_BASE:
-        raise ValueError(f"power semigroup capped at base size {MAX_POWER_BASE}, got {k}")
+    _check_subset_count(k)
     count = 1 << k
     # translate[a][B] = mask of {a*b : b in B}
     translate = [[0] * count for _ in range(k)]
@@ -182,6 +189,7 @@ def subset_relation(subset: GroupSubset) -> Relation:
 
 def hall_embedding(group: FiniteGroup) -> dict[int, Relation]:
     """The subset-to-relation map for every nonempty subset, keyed by mask."""
+    _check_subset_count(group.size)
     return {
         mask: subset_relation(GroupSubset(group, mask))
         for mask in range(1, 1 << group.size)

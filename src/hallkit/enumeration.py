@@ -280,6 +280,26 @@ def _groups_of_order(n):
     return [(f"cyclic:{n}", cyclic_group(n))]
 
 
+def semidirect_surjection(n: int, hall, hall_elems) -> dict:
+    """Check (rho, pi) -> rho*pi maps the semidirect product onto the Hall monoid
+    (hall, with relations hall_elems) and that hall_factorization inverts it."""
+    action = conjugation_action(n)
+    sd, sd_pairs = semidirect_product(action.target, action.group, action)
+    refl_elems = list(reflexive_relations(n))
+    perms = permutations_lex(n)
+    hall_index = {r: i for i, r in enumerate(hall_elems)}
+    mapping = tuple(hall_index[project_to_hall(refl_elems[mi], perms[gi])] for mi, gi in sd_pairs)
+    hom = check_homomorphism(mapping, sd, hall)
+    roundtrip = all(project_to_hall(*hall_factorization(s)) == s for s in hall_elems)
+    return {
+        "pairs": sd.size,
+        "hall_size": hall.size,
+        "homomorphism": hom.is_homomorphism,
+        "surjective": hom.surjective,
+        "factorization_roundtrip": roundtrip,
+    }
+
+
 def verification_campaign(n: int) -> CampaignReport:
     """Exhaustive verification suite at one ground-set size.
 
@@ -292,7 +312,7 @@ def verification_campaign(n: int) -> CampaignReport:
         raise ValueError(f"campaign supported for 1 <= n <= {MAX_MATERIALIZE_DIM}, got {n}")
     checks = []
 
-    refl, refl_elems = materialize_reflexive(n)
+    refl, _ = materialize_reflexive(n)
     refl_green = green_summary(refl)
     jt = all(len(c) == 1 for c in refl_green.j_classes)
     checks.append(CampaignCheck(
@@ -344,28 +364,12 @@ def verification_campaign(n: int) -> CampaignReport:
         witnesses=tuple(embed_witnesses),
     ))
 
-    action = conjugation_action(n)
-    sd, sd_pairs = semidirect_product(action.target, action.group, action)
-    hall_index = {r: i for i, r in enumerate(hall_elems)}
-    perms = permutations_lex(n)
-    mapping = tuple(
-        hall_index[project_to_hall(refl_elems[mi], perms[gi])] for (mi, gi) in sd_pairs
-    )
-    hom = check_homomorphism(mapping, sd, hall)
-    roundtrip = all(
-        project_to_hall(*hall_factorization(sigma)) == sigma for sigma in hall_elems
-    )
-    ok = hom.is_homomorphism and hom.surjective and roundtrip
+    details = semidirect_surjection(n, hall, hall_elems)
+    ok = details["homomorphism"] and details["surjective"] and details["factorization_roundtrip"]
     checks.append(CampaignCheck(
         name="semidirect-surjection",
         passed=ok,
-        details={
-            "pairs": sd.size,
-            "hall_size": hall.size,
-            "homomorphism": hom.is_homomorphism,
-            "surjective": hom.surjective,
-            "factorization_roundtrip": roundtrip,
-        },
+        details=details,
         witnesses=() if ok else ("surjection onto the Hall monoid failed",),
     ))
 

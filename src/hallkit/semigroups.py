@@ -2,6 +2,10 @@
 structure, block-group and J-triviality predicates, closures, homomorphism
 checks, and a bounded division search.
 
+Green's R and L classes come from the principal one-sided ideals; J is derived
+from them, as J = D = R∘L in a finite semigroup. One cap, MAX_TABLE_SIZE,
+bounds every table.
+
 Element order is always the table's row order; every search and tie-break is
 deterministic (ascending indices, lexicographic generator subsets).
 """
@@ -17,8 +21,6 @@ import numpy as np
 from .relations import compose
 
 MAX_TABLE_SIZE = 5000
-MAX_J_SIZE = 600
-_NUMPY_THRESHOLD = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,22 +76,9 @@ def _find_identity(table) -> Optional[int]:
 
 
 def _check_associative(table, labels):
-    """Raise naming a violating triple if the table is not associative."""
-    k = len(table)
-    if k < _NUMPY_THRESHOLD:
-        for x in range(k):
-            tx = table[x]
-            for y in range(k):
-                xy = tx[y]
-                ty = table[y]
-                for z in range(k):
-                    if table[xy][z] != tx[ty[z]]:
-                        raise ValueError(
-                            f"table is not associative: ({labels[x]}*{labels[y]})*{labels[z]}"
-                            f" != {labels[x]}*({labels[y]}*{labels[z]})"
-                        )
-        return
+    """Raise naming the lexicographically first (x, y, z) with (xy)z != x(yz)."""
     t = np.asarray(table, dtype=np.int32)
+    k = len(t)
     slab = max(1, (1 << 22) // (k * k))
     for x0 in range(0, k, slab):
         sub = t[x0 : x0 + slab]
@@ -142,46 +131,50 @@ def idempotents(s: FiniteSemigroup) -> list[int]:
     return [e for e in range(s.size) if s.table[e][e] == e]
 
 
-def _ideal_key(extra, *arrays):
-    merged = np.unique(np.concatenate([np.atleast_1d(a).ravel() for a in arrays + (extra,)]))
-    return merged.tobytes()
+def _ideal_labels(t):
+    """Label each element x by its principal right ideal {x} ∪ xS (row x of t)."""
+    k = len(t)
+    member = np.eye(k, dtype=bool)
+    member[np.arange(k)[:, None], t] = True
+    return np.unique(member, axis=0, return_inverse=True)[1].reshape(-1)
 
 
-def green_summary(s: FiniteSemigroup, max_size: int = MAX_TABLE_SIZE,
-                  max_j_size: int = MAX_J_SIZE) -> GreenSummary:
-    """Green's R/L/J partitions via the generated right, left and two-sided ideals."""
+def _classes(labels):
+    """Group indices by label; scanning in index order lists classes by least element."""
+    groups: dict[int, list[int]] = {}
+    for x, c in enumerate(labels.tolist()):
+        groups.setdefault(c, []).append(x)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def green_summary(s: FiniteSemigroup) -> GreenSummary:
+    """Green's R/L/J partitions from the principal one-sided ideals.
+
+    R and L label each element by the set {x} ∪ xS, resp. {x} ∪ Sx. In a finite
+    semigroup J = D, and D = R∘L (Howie, Fundamentals of Semigroup Theory,
+    Props. 2.1.3 and 2.1.4); an R-class and an L-class of one D-class always
+    meet, so two R-classes lie in one J-class exactly when they meet the same
+    L-classes.
+    """
     k = s.size
-    if k > max_size:
-        raise ValueError(f"size {k} exceeds the R/L cap {max_size}")
-    if k > max_j_size:
-        raise ValueError(f"size {k} exceeds the two-sided ideal cap {max_j_size}")
-    t = np.asarray(s.table, dtype=np.int32)
-    elems = np.arange(k, dtype=np.int32)
-    r_groups: dict[bytes, list[int]] = {}
-    l_groups: dict[bytes, list[int]] = {}
-    j_groups: dict[bytes, list[int]] = {}
-    for x in range(k):
-        xs = t[x, :]
-        sx = t[:, x]
-        r_groups.setdefault(_ideal_key(elems[x : x + 1], xs), []).append(x)
-        l_groups.setdefault(_ideal_key(elems[x : x + 1], sx), []).append(x)
-        sxs = t[:, xs]  # all products a*(x*b)
-        j_groups.setdefault(_ideal_key(elems[x : x + 1], xs, sx, sxs), []).append(x)
-
-    def as_partition(groups):
-        classes = [tuple(sorted(v)) for v in groups.values()]
-        return tuple(sorted(classes, key=lambda c: c[0]))
-
+    if k > MAX_TABLE_SIZE:
+        raise ValueError(f"size {k} exceeds the table cap {MAX_TABLE_SIZE}")
+    t = np.asarray(s.table, dtype=np.intp)
+    r_of = _ideal_labels(t)
+    l_of = _ideal_labels(t.T)
+    meets = np.zeros((r_of.max() + 1, l_of.max() + 1), dtype=bool)
+    meets[r_of, l_of] = True
+    j_of = np.unique(meets, axis=0, return_inverse=True)[1].reshape(-1)[r_of]
     return GreenSummary(
-        r_classes=as_partition(r_groups),
-        l_classes=as_partition(l_groups),
-        j_classes=as_partition(j_groups),
+        r_classes=_classes(r_of),
+        l_classes=_classes(l_of),
+        j_classes=_classes(j_of),
         idempotent_indices=tuple(idempotents(s)),
     )
 
 
 def is_j_trivial(s: FiniteSemigroup) -> bool:
-    """True iff distinct elements always generate distinct two-sided ideals."""
+    """True iff every J-class (= D-class, as s is finite) is a single element."""
     return all(len(c) == 1 for c in green_summary(s).j_classes)
 
 

@@ -87,6 +87,15 @@ def test_power_group_from_file(files):
     assert report["results"]["power_order"] == 3
 
 
+def test_power_group_over_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["power-group", "--group", "cyclic:13"])
+    assert exc.value.code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert "cap" in report["witnesses"][0]
+
+
 def test_embed(files):
     report, code = dispatch(["embed", "--group", "cyclic:3"])
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -49,6 +50,8 @@ def test_cyclic_group_basics():
     assert g2.inverse == (0, 1)  # a is its own inverse
     g6 = cyclic_group(6)
     assert g6.mul(2, 5) == 1 and g6.inverse[2] == 4
+    with pytest.raises(ValueError, match="cap"):
+        cyclic_group(10**9)  # refused before its table is built
 
 
 def test_symmetric_group():
@@ -98,6 +101,16 @@ def test_power_cap():
     table = [[(i + j) % 17 for j in range(17)] for i in range(17)]
     with pytest.raises(ValueError, match="cap"):
         power_semigroup(validate_table(labels, table))
+
+
+def test_subset_cap_checked_before_work():
+    # 2^13 - 1 = 8191 subsets exceed the 5000-element table cap
+    group = cyclic_group(13)
+    for build in (lambda: power_semigroup(group.base), lambda: hall_embedding(group)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cap"):
+            build()
+        assert time.perf_counter() - start < 1.0
 
 
 # subset-to-relation embedding

@@ -2,10 +2,12 @@ import pytest
 from helpers import random_relation_semigroups
 
 from hallkit import (
+    FiniteSemigroup,
     Relation,
     adjoin_identity,
     check_homomorphism,
     compose,
+    cyclic_group,
     emit_cayley,
     find_division,
     green_summary,
@@ -14,8 +16,10 @@ from hallkit import (
     is_block_group,
     is_j_trivial,
     parse_cayley,
+    power_semigroup,
     semigroup_of_relations,
     subsemigroup_closure,
+    symmetric_group_table,
     validate_table,
 )
 
@@ -55,6 +59,23 @@ def test_validate_group_table():
 def test_validate_rejects_nonassociative():
     with pytest.raises(ValueError, match=r"not associative.*x|y"):
         validate_table(["x", "y"], [[1, 0], [0, 0]])
+
+
+def test_validate_names_first_nonassociative_triple():
+    k = 70
+    table = [[max(x, y) for y in range(k)] for x in range(k)]  # a chain semilattice
+    table[40][50] = 3
+    table[20][60] = 10
+    first = next(
+        (x, y, z)
+        for x in range(k) for y in range(k) for z in range(k)
+        if table[table[x][y]][z] != table[x][table[y][z]]
+    )
+    x, y, z = first
+    message = f"table is not associative: ({x}*{y})*{z} != {x}*({y}*{z})"
+    with pytest.raises(ValueError) as exc:
+        validate_table([str(i) for i in range(k)], table)
+    assert str(exc.value) == message
 
 
 def test_validate_rejects_duplicates_and_bad_entries():
@@ -111,8 +132,12 @@ def test_green_of_group():
     assert g.r_classes == g.l_classes == g.j_classes == ((0, 1, 2),)
 
 
-def test_green_matches_ideal_oracle(refl2, hall2, full2):
-    for semi, _ in (refl2, hall2, full2):
+def test_green_matches_ideal_oracle(refl2, hall2, full2, refl3, hall3):
+    catalog = [semi for semi, _ in (refl2, hall2, full2, refl3, hall3)]
+    groups = [cyclic_group(m) for m in range(1, 6)] + [symmetric_group_table(3)]
+    catalog += [power_semigroup(g.base)[0] for g in groups]
+    catalog += random_relation_semigroups(25)
+    for semi in catalog:
         g = green_summary(semi)
         assert list(g.r_classes) == ideal_partition(semi.table, "r")
         assert list(g.l_classes) == ideal_partition(semi.table, "l")
@@ -145,9 +170,26 @@ def test_green_classes_refine_j(hall3):
         assert len({j_of[x] for x in c}) == 1
 
 
-def test_green_cap():
-    with pytest.raises(ValueError, match="cap"):
-        green_summary(Z2, max_j_size=1)
+def test_green_rectangular_band():
+    # 2x3 rectangular band (i, j)(k, l) = (i, l), element (i, j) at index 3i + j:
+    # R-classes are rows, L-classes columns, and D = R∘L joins everything
+    band = validate_table(
+        [f"{i}{j}" for i in range(2) for j in range(3)],
+        [[3 * (x // 3) + y % 3 for y in range(6)] for x in range(6)],
+    )
+    g = green_summary(band)
+    assert g.r_classes == ((0, 1, 2), (3, 4, 5))
+    assert g.l_classes == ((0, 3), (1, 4), (2, 5))
+    assert g.j_classes == ((0, 1, 2, 3, 4, 5),)
+    assert g.idempotent_indices == tuple(range(6))
+
+
+def test_green_large_left_zero():
+    k = 700
+    semi = FiniteSemigroup(tuple(map(str, range(k))), tuple((x,) * k for x in range(k)))
+    g = green_summary(semi)
+    assert g.r_classes == tuple((x,) for x in range(k))
+    assert g.l_classes == g.j_classes == (tuple(range(k)),)
 
 
 # predicates
