@@ -2,6 +2,9 @@
 power semigroups, the subset-to-relation embedding, the conjugation action
 of the symmetric group on reflexive relations, semidirect products, and the
 projection of (reflexive relation, permutation) pairs onto Hall relations.
+
+Subsets are bitmasks; every subset product (power semigroup tables, embedded
+subsets, the embedding check) comes from one helper on union_product.
 """
 
 from __future__ import annotations
@@ -9,7 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .relations import (
+    SLAB,
     Permutation,
     Relation,
     compose,
@@ -20,6 +26,7 @@ from .relations import (
     permutations_lex,
     reflexive_relations,
     relation_of,
+    union_product,
 )
 from .semigroups import MAX_TABLE_SIZE, FiniteSemigroup, semigroup_of_relations, validate_table
 
@@ -129,6 +136,14 @@ def _check_subset_count(k: int) -> None:
                          f" {MAX_TABLE_SIZE}")
 
 
+def _subset_products(s: FiniteSemigroup, left, right):
+    """out[p, q] is the bitmask of left[p] * right[q] in s: the union of the
+    translates a * right[q] over a in left[p], each the union of the bits a*b."""
+    bit = np.left_shift(np.uint64(1), np.asarray(s.table, dtype=np.uint64))
+    translate = union_product(right, bit.T).T
+    return union_product(left, translate)
+
+
 def power_semigroup(s: FiniteSemigroup):
     """The semigroup of all nonempty subsets under elementwise products.
 
@@ -137,33 +152,21 @@ def power_semigroup(s: FiniteSemigroup):
     """
     k = s.size
     _check_subset_count(k)
-    count = 1 << k
-    # translate[a][B] = mask of {a*b : b in B}
-    translate = [[0] * count for _ in range(k)]
-    for a in range(k):
-        row = translate[a]
-        for mask in range(1, count):
-            low = mask & -mask
-            b = low.bit_length() - 1
-            row[mask] = row[mask ^ low] | (1 << s.table[a][b])
-    masks = tuple(range(1, count))
+    subsets = np.arange(1, 1 << k, dtype=np.uint64)
+    table = tuple(map(tuple, (_subset_products(s, subsets, subsets) - 1).tolist()))
+    masks = tuple(subsets.tolist())
+    labels = ("{" + "+".join(s.labels[i] for i in range(k) if m >> i & 1) + "}" for m in masks)
+    return validate_table(labels, table), masks
 
-    def product(x, y):
-        out = 0
-        m = x
-        while m:
-            low = m & -m
-            out |= translate[low.bit_length() - 1][y]
-            m ^= low
-        return out
 
-    table = tuple(tuple(product(x, y) - 1 for y in masks) for x in masks)
-
-    def label(mask):
-        return "{" + "+".join(s.labels[i] for i in range(k) if mask >> i & 1) + "}"
-
-    semi = validate_table(tuple(label(m) for m in masks), table)
-    return semi, masks
+def _subset_relations(group: FiniteGroup, masks) -> list[Relation]:
+    """Subset relations of the masks: row g of the image of A is {g} * A."""
+    n = group.size
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"group order capped at {MAX_GROUP_ORDER}, got {n}")
+    singletons = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    rows = _subset_products(group.base, singletons, masks).T.tolist()
+    return [Relation(n, tuple(r)) for r in rows]
 
 
 def subset_relation(subset: GroupSubset) -> Relation:
@@ -172,58 +175,38 @@ def subset_relation(subset: GroupSubset) -> Relation:
     Contains the right-translation permutation g -> g*a for each subset
     element a, so it always contains a permutation.
     """
-    g = subset.group
-    n = g.size
-    if n > MAX_GROUP_ORDER:
-        raise ValueError(f"group order capped at {MAX_GROUP_ORDER}, got {n}")
-    rows = []
-    for i in range(n):
-        inv = g.inverse[i]
-        row = 0
-        for j in range(n):
-            if subset.mask >> g.mul(inv, j) & 1:
-                row |= 1 << j
-        rows.append(row)
-    return Relation(n, tuple(rows))
+    return _subset_relations(subset.group, [subset.mask])[0]
 
 
 def hall_embedding(group: FiniteGroup) -> dict[int, Relation]:
     """The subset-to-relation map for every nonempty subset, keyed by mask."""
     _check_subset_count(group.size)
-    return {
-        mask: subset_relation(GroupSubset(group, mask))
-        for mask in range(1, 1 << group.size)
-    }
+    masks = range(1, 1 << group.size)
+    return dict(zip(masks, _subset_relations(group, masks)))
 
 
 def check_pairs_embedding(group: FiniteGroup, table: dict[int, Relation]):
     """Verify the subset-to-relation map is one-to-one and respects products.
 
     Compares the relation product of images against the image of the subset
-    product, over every ordered pair of nonempty subsets. Returns
-    (injective, multiplicative, pairs_checked).
+    product, over every ordered pair of nonempty subsets, a slab of left
+    subsets at a time. Returns (injective, multiplicative, pairs_checked).
     """
-    masks = sorted(table)
-    injective = len(set(table.values())) == len(masks)
-    k = group.size
-
-    def mask_product(x, y):
-        out = 0
-        for a in range(k):
-            if x >> a & 1:
-                for b in range(k):
-                    if y >> b & 1:
-                        out |= 1 << group.mul(a, b)
-        return out
-
+    keys = sorted(table)
+    injective = len(set(table.values())) == len(keys)
+    masks = np.array(keys, dtype=np.uint64)
+    images = np.array([table[m].rows for m in keys], dtype=np.uint64)
     multiplicative = True
-    pairs = 0
-    for x in masks:
-        for y in masks:
-            pairs += 1
-            if compose(table[x], table[y]) != table[mask_product(x, y)]:
-                multiplicative = False
-    return injective, multiplicative, pairs
+    step = max(1, SLAB // max(1, images.size))
+    for lo in range(0, len(keys), step):
+        products = _subset_products(group.base, masks[lo : lo + step], masks)
+        at = np.minimum(np.searchsorted(masks, products), len(keys) - 1)
+        # composed[x, :, y] holds the rows of image(x) * image(y)
+        composed = union_product(images[lo : lo + step], images.T)
+        if not (np.array_equal(masks[at], products)
+                and np.array_equal(composed, images[at].transpose(0, 2, 1))):
+            multiplicative = False
+    return injective, multiplicative, len(keys) ** 2
 
 
 def validate_action(action: GroupAction) -> None:

@@ -2,6 +2,8 @@
 
 A relation is stored as one machine word per row (column j of row i is bit j),
 which keeps relation product, union and containment down to a few integer ops.
+union_product is the batched numpy product behind relation-semigroup tables,
+subset products and the embedding check; compose stays the single product.
 All public I/O is 1-based; internal indices are 0-based.
 """
 
@@ -10,8 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_DIM = 64
 PERMANENT_MAX_DIM = 12
+SLAB = 1 << 18  # output cells per union_product call in slabbed callers
 
 
 def _bits(mask):
@@ -134,6 +139,22 @@ def compose(r: Relation, s: Relation) -> Relation:
             acc |= s.rows[z]
         out.append(acc)
     return Relation(r.dim, tuple(out))
+
+
+def union_product(masks, values):
+    """Batched product of bit-packed sets: out[..., q] is the OR of values[z, q]
+    over the set bits z of masks[...], in uint64.
+
+    Row i of r*s is the union of the rows of s picked by row i of r, and a
+    subset product AB the union of the translates aB picked by A. Only the
+    output is allocated at full size; callers bound it by slabs of masks.
+    """
+    masks = np.asarray(masks, dtype=np.uint64)[..., None]
+    values = np.asarray(values, dtype=np.uint64)
+    out = np.zeros(masks.shape[:-1] + values.shape[1:], dtype=np.uint64)
+    for z, row in enumerate(values):
+        np.bitwise_or(out, row, out=out, where=(masks >> np.uint64(z) & np.uint64(1)) == 1)
+    return out
 
 
 def is_reflexive(r: Relation) -> bool:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .relations import compose
+from .relations import SLAB, Relation, union_product
 
 MAX_TABLE_SIZE = 5000
 
@@ -321,26 +321,27 @@ def semigroup_of_relations(elements):
     if len(elements) > MAX_TABLE_SIZE:
         raise ValueError(f"element list size {len(elements)} exceeds the cap {MAX_TABLE_SIZE}")
     dim = elements[0].dim
-    for r in elements:
-        if r.dim != dim:
-            raise ValueError("elements must share one dimension")
+    if any(r.dim != dim for r in elements):
+        raise ValueError("elements must share one dimension")
     index = {}
     for i, r in enumerate(elements):
-        if r in index:
-            raise ValueError(f"duplicate relation at positions {index[r] + 1} and {i + 1}")
-        index[r] = i
+        if r.rows in index:
+            raise ValueError(f"duplicate relation at positions {index[r.rows] + 1} and {i + 1}")
+        index[r.rows] = i
+    rows = np.array([r.rows for r in elements], dtype=np.uint64)
     table = []
-    for i, a in enumerate(elements):
-        row = []
-        for j, b in enumerate(elements):
-            c = compose(a, b)
-            if c not in index:
+    step = max(1, SLAB // rows.size)
+    for lo in range(0, len(rows), step):
+        # block[:, j] holds the rows of element i * element j
+        for i, block in enumerate(union_product(rows[lo : lo + step], rows.T), lo):
+            row = [index.get(c) for c in map(tuple, block.T.tolist())]
+            if None in row:
+                j = row.index(None)
                 raise ValueError(
                     f"element list is not closed: element {i + 1} * element {j + 1}"
-                    f" = {c} is outside the list"
+                    f" = {Relation(dim, tuple(block[:, j].tolist()))} is outside the list"
                 )
-            row.append(index[c])
-        table.append(tuple(row))
+            table.append(tuple(row))
     labels = tuple(str(r) for r in elements)
     semi = validate_table(labels, table)
     return semi, elements

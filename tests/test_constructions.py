@@ -5,6 +5,7 @@ import time
 import pytest
 
 import hallkit as hk
+from hallkit import constructions
 from hallkit import (
     GroupAction,
     GroupSubset,
@@ -90,6 +91,27 @@ def test_power_of_z2():
     assert hk.idempotents(power) == [masks.index(1), masks.index(3)]
 
 
+def brute_subset_product(s, x, y):
+    out = 0
+    for a in range(s.size):
+        for b in range(s.size):
+            if x >> a & 1 and y >> b & 1:
+                out |= 1 << s.mul(a, b)
+    return out
+
+
+@pytest.mark.parametrize("base", [
+    symmetric_group_table(3).base,
+    validate_table(["a", "b"], [[0, 0], [1, 1]]),  # left-zero band: xy = x
+], ids=["symmetric3", "left-zero"])
+def test_power_semigroup_entries_are_subset_products(base):
+    # both bases are non-commutative, so the opposite product would differ
+    power, masks = power_semigroup(base)
+    for i, x in enumerate(masks):
+        for j, y in enumerate(masks):
+            assert masks[power.mul(i, j)] == brute_subset_product(base, x, y)
+
+
 def test_power_semigroups_of_groups_are_block_groups():
     for group in (cyclic_group(2), cyclic_group(3), cyclic_group(4), symmetric_group_table(3)):
         power, _ = power_semigroup(group.base)
@@ -134,6 +156,16 @@ def test_subset_mask_validation():
         GroupSubset(g, 4)
 
 
+def test_subset_relation_matches_definition():
+    # symmetric:3 is non-commutative, so g^{-1}h in A differs from h g^{-1} in A
+    g = symmetric_group_table(3)
+    for mask, rho in hall_embedding(g).items():
+        assert rho == subset_relation(GroupSubset(g, mask))
+        for i in range(g.size):
+            for j in range(g.size):
+                assert rho.has(i + 1, j + 1) == bool(mask >> g.mul(g.inverse[i], j) & 1)
+
+
 def test_embedding_images_contain_translations():
     g = cyclic_group(4)
     for mask, rho in hall_embedding(g).items():
@@ -150,6 +182,22 @@ def test_embedding_z3_injective_and_multiplicative():
     assert len(set(table.values())) == 7
     injective, multiplicative, pairs = check_pairs_embedding(g, table)
     assert injective and multiplicative and pairs == 49
+
+
+@pytest.mark.parametrize("slab", [1, constructions.SLAB])
+def test_embedding_check_reports_failures(monkeypatch, slab):
+    monkeypatch.setattr(constructions, "SLAB", slab)  # slab=1: one left subset per slab
+    g = cyclic_group(3)
+    table = hall_embedding(g)
+    assert check_pairs_embedding(g, table) == (True, True, 49)
+    swapped = dict(table)
+    swapped[1], swapped[2] = table[2], table[1]  # images of {e} and {a}
+    assert check_pairs_embedding(g, swapped) == (True, False, 49)
+    shared = dict(table)
+    shared[3] = table[5]  # {e, a} and {e, a2} share an image
+    injective, _, pairs = check_pairs_embedding(g, shared)
+    assert not injective and pairs == 49
+    assert check_pairs_embedding(g, {}) == (True, True, 0)
 
 
 def test_embedding_catalog_orders_2_to_6():

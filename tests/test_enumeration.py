@@ -133,7 +133,7 @@ def test_census_small():
 
 
 def test_census_against_direct_squaring():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         expected = sum(1 for r in reflexive_relations(n) if compose(r, r) == r)
         count, all_reflexive = hall_idempotent_census(n)
         assert count == expected

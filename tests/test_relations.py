@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from hallkit import (
     transpose,
     union,
 )
+from hallkit.relations import MAX_DIM, union_product
 
 
 def rel(n, *pairs):
@@ -98,6 +100,21 @@ def test_compose_single_chain():
 def test_compose_swap_squares_to_identity():
     swap = rel(2, (1, 2), (2, 1))
     assert compose(swap, swap) == Relation.identity(2)
+
+
+def test_union_product_matches_compose():
+    # every pairwise product of a random set, at every dimension; the last
+    # relation sets the top bit of each row (bit 63 at dimension 64)
+    rng = random.Random(20261018)
+    for dim in range(1, MAX_DIM + 1):
+        rels = [Relation(dim, tuple(rng.getrandbits(dim) for _ in range(dim))) for _ in range(4)]
+        rels.append(Relation(dim, ((1 << dim) - 1,) + (1 << (dim - 1),) * (dim - 1)))
+        rows = np.array([r.rows for r in rels], dtype=np.uint64)
+        out = union_product(rows, rows.T)
+        assert out.dtype == np.uint64 and out.shape == (5, dim, 5)
+        for i, r in enumerate(rels):
+            for j, s in enumerate(rels):
+                assert tuple(out[i, :, j].tolist()) == compose(r, s).rows
 
 
 def test_compose_dimension_mismatch():

@@ -1,6 +1,7 @@
 import pytest
 from helpers import random_relation_semigroups
 
+from hallkit import semigroups
 from hallkit import (
     FiniteSemigroup,
     Relation,
@@ -17,6 +18,7 @@ from hallkit import (
     is_j_trivial,
     parse_cayley,
     power_semigroup,
+    reflexive_relations,
     semigroup_of_relations,
     subsemigroup_closure,
     symmetric_group_table,
@@ -350,6 +352,31 @@ def test_relations_semigroup_closure_checks():
         semigroup_of_relations([swap, swap])
     with pytest.raises(ValueError, match="dimension"):
         semigroup_of_relations([Relation.identity(2), Relation.identity(3)])
+
+
+@pytest.mark.parametrize("slab", [1, 1000, semigroups.SLAB])
+def test_relations_semigroup_table_matches_compose(monkeypatch, slab):
+    # slab=1 takes one left element per batched product, 1000 takes five
+    monkeypatch.setattr(semigroups, "SLAB", slab)
+    elems = list(reflexive_relations(3))
+    semi, _ = semigroup_of_relations(elems)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            assert elems[semi.table[i][j]] == compose(a, b)
+
+
+@pytest.mark.parametrize("slab", [1, semigroups.SLAB])
+def test_relations_semigroup_names_first_escape_row_major(monkeypatch, slab):
+    # row 1 is closed; rows 2 and 3 each escape once, with different
+    # products, so a column-major search would name element 3 * element 2
+    monkeypatch.setattr(semigroups, "SLAB", slab)
+    one = Relation.from_pairs(2, [(1, 1)])
+    swap = Relation.from_pairs(2, [(1, 2), (2, 1)])
+    assert compose(one, swap) != compose(swap, one)
+    with pytest.raises(ValueError) as err:
+        semigroup_of_relations([Relation.identity(2), one, swap])
+    assert str(err.value) == ("element list is not closed: element 2 * element 3"
+                              f" = {compose(one, swap)} is outside the list")
 
 
 def test_relations_semigroup_identity_detected(hall2):
