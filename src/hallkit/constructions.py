@@ -4,7 +4,9 @@ of the symmetric group on reflexive relations, semidirect products, and the
 projection of (reflexive relation, permutation) pairs onto Hall relations.
 
 Subsets are bitmasks; every subset product (power semigroup tables, embedded
-subsets, the embedding check) comes from one helper on union_product.
+subsets, the embedding check) is a union of the translates a * B, built once
+per right operand by one helper on union_product. The semidirect product table
+is index arithmetic on the factor tables and the action.
 """
 
 from __future__ import annotations
@@ -68,9 +70,6 @@ class GroupSubset:
     def __post_init__(self):
         if not 1 <= self.mask < 1 << self.group.size:
             raise ValueError(f"subset mask {self.mask} is empty or out of range")
-
-    def elements(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.group.size) if self.mask >> i & 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +135,16 @@ def _check_subset_count(k: int) -> None:
                          f" {MAX_TABLE_SIZE}")
 
 
+def _translates(s: FiniteSemigroup, right):
+    """out[a, q] is the bitmask of a * right[q] in s: the union of the bits a*b."""
+    bit = np.left_shift(np.uint64(1), np.asarray(s.table, dtype=np.uint64))
+    return union_product(right, bit.T).T
+
+
 def _subset_products(s: FiniteSemigroup, left, right):
     """out[p, q] is the bitmask of left[p] * right[q] in s: the union of the
-    translates a * right[q] over a in left[p], each the union of the bits a*b."""
-    bit = np.left_shift(np.uint64(1), np.asarray(s.table, dtype=np.uint64))
-    translate = union_product(right, bit.T).T
-    return union_product(left, translate)
+    translates a * right[q] over a in left[p]."""
+    return union_product(left, _translates(s, right))
 
 
 def power_semigroup(s: FiniteSemigroup):
@@ -197,9 +200,10 @@ def check_pairs_embedding(group: FiniteGroup, table: dict[int, Relation]):
     masks = np.array(keys, dtype=np.uint64)
     images = np.array([table[m].rows for m in keys], dtype=np.uint64)
     multiplicative = True
+    translate = _translates(group.base, masks)
     step = max(1, SLAB // max(1, images.size))
     for lo in range(0, len(keys), step):
-        products = _subset_products(group.base, masks[lo : lo + step], masks)
+        products = union_product(masks[lo : lo + step], translate)
         at = np.minimum(np.searchsorted(masks, products), len(keys) - 1)
         # composed[x, :, y] holds the rows of image(x) * image(y)
         composed = union_product(images[lo : lo + step], images.T)
@@ -266,14 +270,12 @@ def semidirect_product(m: FiniteSemigroup, g: FiniteGroup, action: GroupAction):
         raise ValueError(f"semidirect product size {m.size * g.size} exceeds the cap")
     validate_action(action)
     pairs = tuple((mi, gi) for mi in range(m.size) for gi in range(g.size))
-    index = {p: i for i, p in enumerate(pairs)}
-    table = tuple(
-        tuple(
-            index[(m.table[mi][action.maps[gi][mj]], g.mul(gi, gj))]
-            for (mj, gj) in pairs
-        )
-        for (mi, gi) in pairs
-    )
+    mt = np.asarray(m.table, dtype=np.intp)
+    gt = np.asarray(g.base.table, dtype=np.intp)
+    acts = np.asarray(action.maps, dtype=np.intp)
+    # product[mi, gi, mj, gj] is the index mi' * |G| + gi' of (mi, gi)(mj, gj)
+    product = (mt[:, acts] * g.size)[:, :, :, None] + gt[None, :, None, :]
+    table = tuple(map(tuple, product.reshape(len(pairs), len(pairs)).tolist()))
     labels = tuple(f"({m.labels[mi]};{g.labels[gi]})" for (mi, gi) in pairs)
     return validate_table(labels, table), pairs
 

@@ -273,6 +273,18 @@ def test_semidirect_r2_s2():
     assert product.identity == delta
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_semidirect_table_matches_definition(n):
+    action = conjugation_action(n)
+    m, g = action.target, action.group
+    product, pairs = semidirect_product(m, g, action)
+    index = {p: i for i, p in enumerate(pairs)}
+    for i, (mi, gi) in enumerate(pairs):
+        for j, (mj, gj) in enumerate(pairs):
+            want = (m.table[mi][action.maps[gi][mj]], g.mul(gi, gj))
+            assert product.table[i][j] == index[want]
+
+
 def test_semidirect_size_cap(refl3):
     semi, _ = refl3
     group = symmetric_group_table(5)

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from helpers import random_relation_semigroups
 
@@ -46,6 +49,29 @@ def ideal_partition(table, kind):
     return sorted(tuple(sorted(v)) for v in groups.values())
 
 
+def first_bad_triple(table):
+    """Oracle: the lexicographically first (x, y, z) with (xy)z != x(yz), or None."""
+    k = len(table)
+    return next(
+        ((x, y, z)
+         for x in range(k) for y in range(k) for z in range(k)
+         if table[table[x][y]][z] != table[x][table[y][z]]),
+        None,
+    )
+
+
+def right_closure(table, gens):
+    """Oracle: every left-normed product of gens, by search on the right Cayley graph."""
+    seen, todo = set(gens), list(gens)
+    while todo:
+        x = todo.pop()
+        for a in gens:
+            if table[x][a] not in seen:
+                seen.add(table[x][a])
+                todo.append(table[x][a])
+    return seen
+
+
 # validate_table
 
 def test_validate_trivial():
@@ -68,16 +94,59 @@ def test_validate_names_first_nonassociative_triple():
     table = [[max(x, y) for y in range(k)] for x in range(k)]  # a chain semilattice
     table[40][50] = 3
     table[20][60] = 10
-    first = next(
-        (x, y, z)
-        for x in range(k) for y in range(k) for z in range(k)
-        if table[table[x][y]][z] != table[x][table[y][z]]
-    )
-    x, y, z = first
+    x, y, z = first_bad_triple(table)
     message = f"table is not associative: ({x}*{y})*{z} != {x}*({y}*{z})"
     with pytest.raises(ValueError) as exc:
         validate_table([str(i) for i in range(k)], table)
     assert str(exc.value) == message
+
+
+def test_greedy_generators_reach_every_element(hall3):
+    ps = power_semigroup(cyclic_group(6).base)[0]
+    catalog = [ps, hall3[0], Z3, SEMILATTICE] + random_relation_semigroups(10)
+    for semi in catalog:
+        gens = semigroups._generators(np.asarray(semi.table)).tolist()
+        assert gens == sorted(set(gens))
+        assert right_closure(semi.table, gens) == set(range(semi.size))
+        # greedy in index order: no generator is a product of the earlier ones
+        for i, g in enumerate(gens):
+            assert i == 0 or g not in right_closure(semi.table, gens[:i])
+    assert len(semigroups._generators(np.asarray(ps.table))) == 8
+
+
+def test_validate_perturbed_power_semigroup_rows_off_the_generators():
+    # Light's test sweeps only the 8 generator rows of this 63-element table;
+    # a broken entry in any other row must still be found, and named as the
+    # lexicographically first bad triple of the whole table
+    ps = power_semigroup(cyclic_group(6).base)[0]
+    k = ps.size
+    gens = set(semigroups._generators(np.asarray(ps.table)).tolist())
+    rng = random.Random(2)
+    cells = rng.sample([(r, c) for r in range(k) if r not in gens for c in range(k)], 12)
+    for r, c in cells:
+        table = [list(row) for row in ps.table]
+        table[r][c] = (table[r][c] + rng.randrange(1, k)) % k
+        bad = first_bad_triple(table)
+        if bad is None:
+            assert validate_table(ps.labels, table).table == tuple(map(tuple, table))
+            continue
+        x, y, z = (ps.labels[i] for i in bad)
+        with pytest.raises(ValueError) as exc:
+            validate_table(ps.labels, table)
+        assert str(exc.value) == f"table is not associative: ({x}*{y})*{z} != {x}*({y}*{z})"
+
+
+def test_validate_left_zero_band_every_element_a_generator():
+    # xy = x: no element is a product of others, so Light's test sweeps every row
+    k = 40
+    table = [[x] * k for x in range(k)]
+    assert semigroups._generators(np.asarray(table)).tolist() == list(range(k))
+    semi = validate_table([str(i) for i in range(k)], table)
+    assert semi.identity is None
+    table[k - 1][0] = 0  # breaks only the last row: (39*1)*0 = 0 but 39*(1*0) = 39
+    assert first_bad_triple(table) == (39, 1, 0)
+    with pytest.raises(ValueError, match=r"not associative: \(39\*1\)\*0 != 39\*\(1\*0\)"):
+        validate_table([str(i) for i in range(k)], table)
 
 
 def test_validate_rejects_duplicates_and_bad_entries():
