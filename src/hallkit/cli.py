@@ -41,26 +41,25 @@ from .semigroups import (
 SCHEMA = "hallkit-report v1"
 
 
-def parse_relation_file(path: str) -> Relation:
+def _parse_file(path: str, parse):
+    """Read and parse one input file; every error names the path."""
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
     try:
-        return parse_relmat(text)
+        return parse(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def parse_relation_file(path: str) -> Relation:
+    return _parse_file(path, parse_relmat)
 
 
 def parse_cayley_file(path: str):
-    try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        return parse_cayley(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _parse_file(path, parse_cayley)
 
 
 def _load_group(spec: str):

@@ -30,10 +30,10 @@ from .relations import (
     relation_of,
     union_product,
 )
-from .semigroups import MAX_TABLE_SIZE, FiniteSemigroup, semigroup_of_relations, validate_table
+from .semigroups import (MAX_TABLE_SIZE, FiniteSemigroup, check_homomorphism,
+                         semigroup_of_relations, validate_table)
 
 MAX_GROUP_ORDER = 64
-MAX_SEMIDIRECT_SIZE = 5000
 MAX_ACTION_DEGREE = 3
 
 
@@ -57,7 +57,7 @@ class FiniteGroup:
         return self.base.labels
 
     def mul(self, i: int, j: int) -> int:
-        return self.base.table[i][j]
+        return self.base.mul(i, j)
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,16 @@ class GroupAction:
 
 
 def as_group(s: FiniteSemigroup) -> FiniteGroup:
-    """Check a semigroup is a group (identity plus two-sided inverses)."""
+    """Check a semigroup is a group; a two-sided inverse is the only right inverse."""
     if s.identity is None:
         raise ValueError("no identity element; not a group")
-    e = s.identity
-    inverse = []
-    for g in range(s.size):
-        inv = next((h for h in range(s.size) if s.table[g][h] == e and s.table[h][g] == e), None)
-        if inv is None:
-            raise ValueError(f"element {s.labels[g]} has no inverse; not a group")
-        inverse.append(inv)
-    return FiniteGroup(s, tuple(inverse))
+    t, e, ar = s.table, s.identity, np.arange(s.size)
+    step = max(1, SLAB // s.size)
+    inv = np.concatenate([(t[lo : lo + step] == e).argmax(axis=1) for lo in range(0, s.size, step)])
+    bad = np.flatnonzero((t[ar, inv] != e) | (t[inv, ar] != e))
+    if bad.size:
+        raise ValueError(f"element {s.labels[bad[0]]} has no inverse; not a group")
+    return FiniteGroup(s, tuple(inv.tolist()))
 
 
 def cyclic_group(m: int) -> FiniteGroup:
@@ -106,26 +105,20 @@ def cyclic_group(m: int) -> FiniteGroup:
     if m > MAX_TABLE_SIZE:
         raise ValueError(f"order {m} exceeds the table cap {MAX_TABLE_SIZE}")
     labels = ["e"] + ["a" if k == 1 else f"a{k}" for k in range(1, m)]
-    table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-    return as_group(validate_table(labels, table))
+    return as_group(validate_table(labels, np.add.outer(np.arange(m), np.arange(m)) % m))
 
 
 def symmetric_group_table(n: int) -> FiniteGroup:
     """The symmetric group of degree n; elements are permutations in
-    lexicographic image order, multiplied left-to-right like relations."""
+    lexicographic image order, multiplied as their relations (left to right)."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     size = math.factorial(n)
-    if size > MAX_SEMIDIRECT_SIZE:
+    if size > MAX_TABLE_SIZE:
         raise ValueError(f"symmetric group of degree {n} has {size} elements, over the cap")
     perms = permutations_lex(n)
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[Permutation(n, tuple(q.image[i] for i in p.image))] for q in perms)
-        for p in perms
-    )
-    labels = tuple(str(p) for p in perms)
-    return as_group(validate_table(labels, table))
+    semi, _ = semigroup_of_relations([relation_of(p) for p in perms])
+    return as_group(FiniteSemigroup(tuple(map(str, perms)), semi.table, semi.identity))
 
 
 def _check_subset_count(k: int) -> None:
@@ -137,7 +130,7 @@ def _check_subset_count(k: int) -> None:
 
 def _translates(s: FiniteSemigroup, right):
     """out[a, q] is the bitmask of a * right[q] in s: the union of the bits a*b."""
-    bit = np.left_shift(np.uint64(1), np.asarray(s.table, dtype=np.uint64))
+    bit = np.left_shift(np.uint64(1), s.table.astype(np.uint64))
     return union_product(right, bit.T).T
 
 
@@ -156,7 +149,7 @@ def power_semigroup(s: FiniteSemigroup):
     k = s.size
     _check_subset_count(k)
     subsets = np.arange(1, 1 << k, dtype=np.uint64)
-    table = tuple(map(tuple, (_subset_products(s, subsets, subsets) - 1).tolist()))
+    table = _subset_products(s, subsets, subsets) - np.uint64(1)  # mask m is element m - 1
     masks = tuple(subsets.tolist())
     labels = ("{" + "+".join(s.labels[i] for i in range(k) if m >> i & 1) + "}" for m in masks)
     return validate_table(labels, table), masks
@@ -218,26 +211,26 @@ def validate_action(action: GroupAction) -> None:
     g, m = action.group, action.target
     if len(action.maps) != g.size:
         raise ValueError("action must assign a map to every group element")
-    k = m.size
     for gi, amap in enumerate(action.maps):
-        if sorted(amap) != list(range(k)):
+        if sorted(amap) != list(range(m.size)):
             raise ValueError(f"map of {g.labels[gi]} is not a permutation of the target")
-        for x in range(k):
-            for y in range(k):
-                if amap[m.table[x][y]] != m.table[amap[x]][amap[y]]:
-                    raise ValueError(
-                        f"map of {g.labels[gi]} is not an automorphism:"
-                        f" breaks at ({m.labels[x]}, {m.labels[y]})"
-                    )
+        check = check_homomorphism(amap, m, m)
+        if not check.is_homomorphism:
+            x, y = check.failure_pair
+            raise ValueError(
+                f"map of {g.labels[gi]} is not an automorphism:"
+                f" breaks at ({m.labels[x]}, {m.labels[y]})"
+            )
+    acts = np.array(action.maps)
     for a in range(g.size):
-        for b in range(g.size):
-            ab = g.mul(a, b)
-            for x in range(k):
-                if action.maps[ab][x] != action.maps[a][action.maps[b][x]]:
-                    raise ValueError(
-                        f"action is not a left action: maps[{g.labels[a]}*{g.labels[b]}]"
-                        f" differs from maps[{g.labels[a]}] o maps[{g.labels[b]}]"
-                    )
+        # row b: maps[a*b] against maps[a] o maps[b]
+        bad = np.flatnonzero((acts[g.base.table[a]] != acts[a][acts]).any(axis=1))
+        if bad.size:
+            b = int(bad[0])
+            raise ValueError(
+                f"action is not a left action: maps[{g.labels[a]}*{g.labels[b]}]"
+                f" differs from maps[{g.labels[a]}] o maps[{g.labels[b]}]"
+            )
 
 
 def conjugation_action(n: int) -> GroupAction:
@@ -266,18 +259,15 @@ def semidirect_product(m: FiniteSemigroup, g: FiniteGroup, action: GroupAction):
     """
     if action.target is not m or action.group is not g:
         raise ValueError("action does not act on the given operands")
-    if m.size * g.size > MAX_SEMIDIRECT_SIZE:
+    if m.size * g.size > MAX_TABLE_SIZE:
         raise ValueError(f"semidirect product size {m.size * g.size} exceeds the cap")
     validate_action(action)
     pairs = tuple((mi, gi) for mi in range(m.size) for gi in range(g.size))
-    mt = np.asarray(m.table, dtype=np.intp)
-    gt = np.asarray(g.base.table, dtype=np.intp)
-    acts = np.asarray(action.maps, dtype=np.intp)
+    acts = np.array(action.maps)
     # product[mi, gi, mj, gj] is the index mi' * |G| + gi' of (mi, gi)(mj, gj)
-    product = (mt[:, acts] * g.size)[:, :, :, None] + gt[None, :, None, :]
-    table = tuple(map(tuple, product.reshape(len(pairs), len(pairs)).tolist()))
+    product = (m.table[:, acts] * g.size)[:, :, :, None] + g.base.table[None, :, None, :]
     labels = tuple(f"({m.labels[mi]};{g.labels[gi]})" for (mi, gi) in pairs)
-    return validate_table(labels, table), pairs
+    return validate_table(labels, product.reshape(len(pairs), len(pairs))), pairs
 
 
 def project_to_hall(rho: Relation, pi: Permutation) -> Relation:

@@ -1,6 +1,7 @@
-"""Abstract finite semigroups as Cayley tables: Green's relations, idempotent
-structure, block-group and J-triviality predicates, closures, homomorphism
-checks, and a bounded division search.
+"""Abstract finite semigroups as Cayley tables, each held as one read-only k x k
+int32 numpy array (FiniteSemigroup.table) that every kernel reads directly:
+Green's relations, idempotent structure, block-group and J-triviality
+predicates, closures, homomorphism checks, and a bounded division search.
 
 validate_table proves associativity by Light's test: the elements x with
 (xy)z = x(yz) for all y, z are closed under products, so checking x over a
@@ -8,7 +9,7 @@ generating set proves the whole table, in O(k^2 |A|) instead of O(k^3).
 
 Green's R and L classes come from the principal one-sided ideals; J is derived
 from them, as J = D = R∘L in a finite semigroup. One cap, MAX_TABLE_SIZE,
-bounds every table.
+bounds every table; MAX_DIVISION_TARGET bounds the division search.
 
 Element order is always the table's row order; every search and tie-break is
 deterministic (ascending indices, lexicographic generator subsets).
@@ -25,22 +26,28 @@ import numpy as np
 from .relations import SLAB, Relation, union_product
 
 MAX_TABLE_SIZE = 5000
+MAX_DIVISION_TARGET = 12
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteSemigroup:
-    """A finite semigroup given by distinct element labels and a Cayley table."""
+    """Distinct element labels and a Cayley table, kept as a read-only int32 copy."""
 
     labels: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     identity: Optional[int] = None
+
+    def __post_init__(self):
+        table = np.array(self.table, dtype=np.int32)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        return int(self.table[i, j])
 
 
 @dataclass(frozen=True)
@@ -71,42 +78,45 @@ class DivisionWitness:
     mapping: tuple[int, ...]
 
 
-def _find_identity(table) -> Optional[int]:
+def _find_identity(t) -> Optional[int]:
     """The least e whose row and column are both the identity map, or None."""
-    t = np.asarray(table)
     ar = np.arange(len(t))
     hits = np.flatnonzero((t == ar).all(axis=1) & (t.T == ar).all(axis=1))
     return int(hits[0]) if hits.size else None
 
 
-def _generators(t) -> np.ndarray:
-    """A generating set, picked greedily in index order.
+def _reach(t, gens, reached, cand):
+    """Mark in reached all that cand reaches in the right Cayley graph y -> y*a,
+    a in gens, a slab at a time. Duplicates go through the slot array, not
+    np.unique, whose first call costs more than a whole pick on small tables."""
+    slot = np.zeros(len(t), dtype=np.intp)
+    step = max(1, SLAB // len(gens))
+    todo = []
+    while True:
+        cand = cand[~reached[cand]]
+        order = np.arange(cand.size)
+        slot[cand] = order
+        fresh = cand[slot[cand] == order]
+        reached[fresh] = True
+        todo += [fresh[lo : lo + step] for lo in range(0, fresh.size, step)]
+        if not todo:
+            return
+        cand = t[np.ix_(todo.pop(), gens)].ravel()
 
-    x joins when the right Cayley graph of the earlier generators (y -> y*a)
-    has not reached it, so every element is a left-normed product of
-    generators. Each element is multiplied by each generator once: O(k*|A|).
-    Duplicates are dropped through the slot array, not np.unique, whose first
-    call in a process costs more than a whole pick on small tables.
+
+def _generators(t) -> np.ndarray:
+    """A generating set, picked greedily in index order, in O(k*|A|).
+
+    x joins when the right Cayley graph of the earlier generators has not
+    reached it, so every element is a left-normed product of generators.
     """
-    k = len(t)
-    reached = np.zeros(k, dtype=bool)
-    slot = np.zeros(k, dtype=np.intp)
+    reached = np.zeros(len(t), dtype=bool)
     gens = []
-    for x in range(k):
-        if reached[x]:
-            continue
-        gens.append(x)
-        # x itself and the products y*x of the elements already reached
-        cand = np.append(t[reached, x], x)
-        while True:
-            cand = cand[~reached[cand]]
-            if not cand.size:
-                break
-            order = np.arange(cand.size)
-            slot[cand] = order
-            fresh = cand[slot[cand] == order]
-            reached[fresh] = True
-            cand = t[np.ix_(fresh, gens)].ravel()
+    for x in range(len(t)):
+        if not reached[x]:
+            gens.append(x)
+            # x itself and the products y*x of the elements already reached
+            _reach(t, gens, reached, np.append(t[reached, x], x))
     return np.array(gens)
 
 
@@ -140,26 +150,39 @@ def _check_associative(t, labels):
             )
 
 
-def validate_table(labels, table, max_size: int = MAX_TABLE_SIZE) -> FiniteSemigroup:
-    """Validate a Cayley table (shape, range, associativity) and detect an identity."""
+def _integral(v) -> bool:
+    try:
+        return v == int(v)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def validate_table(labels, table) -> FiniteSemigroup:
+    """Validate a Cayley table (shape, integer entries, range, associativity); find an identity."""
     labels = tuple(str(x) for x in labels)
     k = len(labels)
     if k == 0:
         raise ValueError("a semigroup needs at least one element")
-    if k > max_size:
-        raise ValueError(f"table size {k} exceeds the cap {max_size}")
+    if k > MAX_TABLE_SIZE:
+        raise ValueError(f"table size {k} exceeds the cap {MAX_TABLE_SIZE}")
     if len(set(labels)) != k:
         raise ValueError("duplicate labels in element list")
-    table = tuple(tuple(row) for row in table)
     if len(table) != k or any(len(row) != k for row in table):
         raise ValueError(f"table must be {k}x{k}")
     t = np.asarray(table)
+    if t.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):  # int(nan) raises; numpy would warn as well
+            bad = ~np.frompyfunc(_integral, 1, 1)(t).astype(bool)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"table entry at ({i + 1},{j + 1}) is not an integer: {t[i, j]}")
     bad = ~((t >= 0) & (t < k))
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise ValueError(f"table entry at ({i + 1},{j + 1}) out of range: {table[i][j]}")
-    _check_associative(t.astype(np.int32), labels)
-    return FiniteSemigroup(labels, table, _find_identity(t))
+        raise ValueError(f"table entry at ({i + 1},{j + 1}) out of range: {t[i, j]}")
+    t = t.astype(np.int32)
+    _check_associative(t, labels)
+    return FiniteSemigroup(labels, t, _find_identity(t))
 
 
 def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
@@ -170,13 +193,12 @@ def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
     fresh = "1"
     while fresh in s.labels:
         fresh += "'"
-    table = [list(row) + [i] for i, row in enumerate(s.table)]
-    table.append(list(range(k + 1)))
-    return FiniteSemigroup(s.labels + (fresh,), tuple(tuple(row) for row in table), k)
+    ar = np.arange(k + 1, dtype=np.int32)
+    return FiniteSemigroup(s.labels + (fresh,), np.block([[s.table, ar[:k, None]], [ar[None]]]), k)
 
 
 def idempotents(s: FiniteSemigroup) -> list[int]:
-    return [e for e in range(s.size) if s.table[e][e] == e]
+    return np.flatnonzero(np.diagonal(s.table) == np.arange(s.size)).tolist()
 
 
 def _ideal_labels(t):
@@ -207,9 +229,8 @@ def green_summary(s: FiniteSemigroup) -> GreenSummary:
     k = s.size
     if k > MAX_TABLE_SIZE:
         raise ValueError(f"size {k} exceeds the table cap {MAX_TABLE_SIZE}")
-    t = np.asarray(s.table, dtype=np.intp)
-    r_of = _ideal_labels(t)
-    l_of = _ideal_labels(t.T)
+    r_of = _ideal_labels(s.table)
+    l_of = _ideal_labels(s.table.T)
     meets = np.zeros((r_of.max() + 1, l_of.max() + 1), dtype=bool)
     meets[r_of, l_of] = True
     j_of = np.unique(meets, axis=0, return_inverse=True)[1].reshape(-1)[r_of]
@@ -229,19 +250,20 @@ def is_j_trivial(s: FiniteSemigroup) -> bool:
 def is_block_group(s: FiniteSemigroup):
     """Check that no two distinct idempotents are mutually translating.
 
-    Scans ordered pairs (e, f) of distinct idempotents for ef=e & fe=f first,
-    then for ef=f & fe=e; returns (False, first violating pair) or (True, None).
+    Scans ordered pairs (e, f) of distinct idempotents, a slab of rows e at a time,
+    for ef=e & fe=f first, then for ef=f & fe=e; returns (False, first violating
+    pair) or (True, None).
     """
-    t = s.table
-    ids = idempotents(s)
-    for e in ids:
-        for f in ids:
-            if e != f and t[e][f] == e and t[f][e] == f:
-                return False, (e, f)
-    for e in ids:
-        for f in ids:
-            if e != f and t[e][f] == f and t[f][e] == e:
-                return False, (e, f)
+    t, f = s.table, np.array(idempotents(s), dtype=np.intp)
+    step = max(1, SLAB // max(1, f.size))
+    for swap in (False, True):
+        for lo in range(0, f.size, step):
+            e = f[lo : lo + step, None]
+            x, y = (f, e) if swap else (e, f)
+            hit = (t[e, f] == x) & (t[f, e] == y) & (e != f)
+            if hit.any():
+                i, j = np.argwhere(hit)[0]
+                return False, (int(f[lo + i]), int(f[j]))
     return True, None
 
 
@@ -256,26 +278,13 @@ def subsemigroup_closure(s: FiniteSemigroup, generators):
     for g in gens:
         if not 0 <= g < s.size:
             raise ValueError(f"generator index {g} out of range")
-    elems = list(gens)
-    seen = set(gens)
-    i = 0
-    while i < len(elems):
-        a = elems[i]
-        j = 0
-        while j < len(elems):
-            b = elems[j]
-            for c in (s.table[a][b], s.table[b][a]):
-                if c not in seen:
-                    seen.add(c)
-                    elems.append(c)
-            j += 1
-        i += 1
-    parent = tuple(sorted(seen))
-    back = {p: i for i, p in enumerate(parent)}
-    table = tuple(tuple(back[s.table[a][b]] for b in parent) for a in parent)
+    reached = np.zeros(s.size, dtype=bool)  # products of generators, by the right Cayley graph
+    _reach(s.table, gens, reached, np.array(gens))
+    parent = np.flatnonzero(reached)
+    back = np.cumsum(reached) - 1
+    table = back[s.table[np.ix_(parent, parent)]]
     labels = tuple(s.labels[p] for p in parent)
-    sub = FiniteSemigroup(labels, table, _find_identity(table))
-    return sub, parent
+    return FiniteSemigroup(labels, table, _find_identity(table)), tuple(parent.tolist())
 
 
 def idempotent_generated(s: FiniteSemigroup) -> FiniteSemigroup:
@@ -283,8 +292,7 @@ def idempotent_generated(s: FiniteSemigroup) -> FiniteSemigroup:
     ids = idempotents(s)
     if not ids:
         raise ValueError("semigroup has no idempotents")
-    sub, _ = subsemigroup_closure(s, ids)
-    return sub
+    return subsemigroup_closure(s, ids)[0]
 
 
 def check_homomorphism(mapping, s: FiniteSemigroup, t: FiniteSemigroup) -> HomomorphismCheck:
@@ -295,10 +303,14 @@ def check_homomorphism(mapping, s: FiniteSemigroup, t: FiniteSemigroup) -> Homom
     for v in mapping:
         if not 0 <= v < t.size:
             raise ValueError(f"mapping value {v} out of range for the target")
-    for x in range(s.size):
-        for y in range(s.size):
-            if mapping[s.table[x][y]] != t.table[mapping[x]][mapping[y]]:
-                return HomomorphismCheck(False, False, False, (x, y))
+    f = np.array(mapping, dtype=np.intp)
+    step = max(1, SLAB // s.size)
+    for lo in range(0, s.size, step):
+        # f(xy) against f(x)f(y) for a slab of rows x, in row-major order
+        bad = f[s.table[lo : lo + step]] != t.table[f[lo : lo + step, None], f]
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            return HomomorphismCheck(False, False, False, (lo + int(x), int(y)))
     image = set(mapping)
     return HomomorphismCheck(True, len(image) == s.size, len(image) == t.size)
 
@@ -306,13 +318,14 @@ def check_homomorphism(mapping, s: FiniteSemigroup, t: FiniteSemigroup) -> Homom
 def _surjection_search(u: FiniteSemigroup, s: FiniteSemigroup):
     """Backtracking search for a surjective homomorphism u -> s, images tried ascending."""
     ku, ks = u.size, s.size
+    ut, st = u.table.tolist(), s.table.tolist()  # per-element lookups run faster on lists
     mapping = [-1] * ku
 
     def consistent(k):
         for i in range(k + 1):
             for j in range(k + 1):
-                p = u.table[i][j]
-                if p <= k and s.table[mapping[i]][mapping[j]] != mapping[p]:
+                p = ut[i][j]
+                if p <= k and st[mapping[i]][mapping[j]] != mapping[p]:
                     return False
         return True
 
@@ -333,8 +346,8 @@ def _surjection_search(u: FiniteSemigroup, s: FiniteSemigroup):
     return extend(0, set())
 
 
-def find_division(s: FiniteSemigroup, t: FiniteSemigroup, max_generators: int = 3,
-                  max_target_size: int = 12) -> Optional[DivisionWitness]:
+def find_division(s: FiniteSemigroup, t: FiniteSemigroup,
+                  max_generators: int = 3) -> Optional[DivisionWitness]:
     """Bounded search for a witness that s divides t.
 
     Tries subsemigroups of t generated by up to max_generators elements
@@ -342,11 +355,11 @@ def find_division(s: FiniteSemigroup, t: FiniteSemigroup, max_generators: int = 
     onto s. Returns the first witness found, or None. A None result only means
     "not found within bounds", never "does not divide".
     """
-    if t.size > max_target_size:
-        raise ValueError(f"target size {t.size} exceeds the search bound {max_target_size}")
+    if t.size > MAX_DIVISION_TARGET:
+        raise ValueError(f"target size {t.size} exceeds the search bound {MAX_DIVISION_TARGET}")
     if max_generators < 1:
         raise ValueError("max_generators must be at least 1")
-    for count in range(1, max_generators + 1):
+    for count in range(1, min(max_generators, t.size) + 1):
         for gens in combinations(range(t.size), count):
             sub, parent = subsemigroup_closure(t, gens)
             if sub.size < s.size:
@@ -371,25 +384,30 @@ def semigroup_of_relations(elements):
     dim = elements[0].dim
     if any(r.dim != dim for r in elements):
         raise ValueError("elements must share one dimension")
-    index = {}
-    for i, r in enumerate(elements):
-        if r.rows in index:
-            raise ValueError(f"duplicate relation at positions {index[r.rows] + 1} and {i + 1}")
-        index[r.rows] = i
     rows = np.array([r.rows for r in elements], dtype=np.uint64)
-    table = []
+    # a relation's rows as one opaque key; keys sort and compare bytewise
+    key = np.dtype((np.void, rows.itemsize * dim))
+    order = np.argsort(rows.view(key).ravel(), kind="stable")  # repeats keep list order
+    keys = rows.view(key).ravel()[order]
+    twins = np.flatnonzero(keys[1:] == keys[:-1])
+    if twins.size:  # the first repeat in list order follows the element it repeats
+        d = twins[np.argmin(order[twins + 1])]
+        raise ValueError(f"duplicate relation at positions {order[d] + 1} and {order[d + 1] + 1}")
+    table = np.empty((len(rows), len(rows)), dtype=np.int32)
     step = max(1, SLAB // rows.size)
     for lo in range(0, len(rows), step):
-        # block[:, j] holds the rows of element i * element j
-        for i, block in enumerate(union_product(rows[lo : lo + step], rows.T), lo):
-            row = [index.get(c) for c in map(tuple, block.T.tolist())]
-            if None in row:
-                j = row.index(None)
-                raise ValueError(
-                    f"element list is not closed: element {i + 1} * element {j + 1}"
-                    f" = {Relation(dim, tuple(block[:, j].tolist()))} is outside the list"
-                )
-            table.append(tuple(row))
+        # block[i, j] holds the rows of element lo+i * element j
+        block = np.ascontiguousarray(union_product(rows[lo : lo + step], rows.T).transpose(0, 2, 1))
+        found = block.view(key)[..., 0]
+        at = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+        missing = keys[at] != found
+        if missing.any():
+            i, j = np.argwhere(missing)[0]
+            raise ValueError(
+                f"element list is not closed: element {lo + i + 1} * element {j + 1}"
+                f" = {Relation(dim, tuple(block[i, j].tolist()))} is outside the list"
+            )
+        table[lo : lo + step] = order[at]
     labels = tuple(str(r) for r in elements)
     semi = validate_table(labels, table)
     return semi, elements
@@ -398,11 +416,7 @@ def semigroup_of_relations(elements):
 def parse_cayley(text: str) -> FiniteSemigroup:
     """Parse the Cayley table text format: a label header, k rows of 1-based
     indices, and an optional identity=<label> trailer."""
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped:
-            entries.append((lineno, stripped))
+    entries = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
     if not entries:
         raise ValueError("line 1: empty table file")
     lineno, head = entries[0]
@@ -410,11 +424,8 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     if any(not x for x in labels):
         raise ValueError(f"line {lineno}: empty label in header")
     k = len(labels)
-    trailer = None
     body = entries[1:]
-    if body and body[-1][1].startswith("identity="):
-        trailer = body[-1]
-        body = body[:-1]
+    trailer = body.pop() if body and body[-1][1].startswith("identity=") else None
     if len(body) < k:
         raise ValueError(f"expected {k} table rows, file ends after line {entries[-1][0]}")
     if len(body) > k:
@@ -450,8 +461,7 @@ def emit_cayley(s: FiniteSemigroup) -> str:
         if "," in label or "\n" in label:
             raise ValueError(f"label {label!r} cannot be written in the comma-separated format")
     lines = [",".join(s.labels)]
-    for row in s.table:
-        lines.append(",".join(str(v + 1) for v in row))
+    lines += [",".join(map(str, row)) for row in s.table + 1]
     if s.identity is not None:
         lines.append(f"identity={s.labels[s.identity]}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +158,46 @@ def test_divide_not_found(files):
     assert code == 1
     assert report["results"]["found"] is False
     assert "not a proof" in report["results"]["note"]
+
+
+def test_divide_huge_generator_bound(files, capsys):
+    # the subset sizes stop at the target's size, so a hostile bound costs nothing
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["divide", files["z2.cay"], files["semilattice.cay"],
+              "--max-generators", "1000000000"])
+    assert time.perf_counter() - start < 2
+    assert exc.value.code == 1
+    note = json.loads(capsys.readouterr().out)["results"]["note"]
+    assert note == ("no witness within bounds (generator subsets up to size 1000000000);"
+                    " absence within bounds is not a proof of non-division")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (argv, exit code); each report is GOLDEN/<name>.json, the stdout of
+# `python -m hallkit.cli <argv> --no-timing` run inside tests/golden
+GOLDEN_REPORTS = {
+    "analyze-hall2": (["analyze", "hall2.cay"], 0),
+    "power-group-cyclic4": (["power-group", "--group", "cyclic:4"], 0),
+    "power-group-symmetric3": (["power-group", "--group", "symmetric:3"], 0),
+    "embed-cyclic3": (["embed", "--group", "cyclic:3"], 0),
+    "semidirect-2": (["semidirect", "--n", "2"], 0),
+    "campaign-2": (["campaign", "--n", "2"], 0),
+    "divide-semilattice-hall2": (["divide", "semilattice.cay", "hall2.cay"], 0),
+    "refuse-power-group-cyclic13": (["power-group", "--group", "cyclic:13"], 2),
+    "refuse-analyze-nonassoc": (["analyze", "nonassoc.cay"], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_golden_reports(name, monkeypatch, capsys):
+    argv, code = GOLDEN_REPORTS[name]
+    monkeypatch.chdir(GOLDEN)  # reports echo the input paths as given
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-timing"])
+    assert exc.value.code == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_input_error_exit_code(files):

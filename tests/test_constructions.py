@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 import hallkit as hk
@@ -74,6 +75,22 @@ def test_as_group_rejects_non_groups():
     left_zero = validate_table(["a", "b"], [[0, 0], [1, 1]])
     with pytest.raises(ValueError, match="identity"):
         as_group(left_zero)
+
+
+@pytest.mark.parametrize("slab", [1, constructions.SLAB])
+def test_as_group_inverses_by_slab(monkeypatch, slab):
+    monkeypatch.setattr(constructions, "SLAB", slab)  # slab=1: one row at a time
+    for g in (cyclic_group(6), symmetric_group_table(3)):
+        again = as_group(g.base)
+        for x in range(g.size):
+            inv = again.inverse[x]
+            assert type(inv) is int
+            assert g.mul(x, inv) == g.identity == g.mul(inv, x)
+    # Z2 with a zero adjoined: e and a have inverses, the zero z does not
+    z2_zero = validate_table(["e", "a", "z"], [[0, 1, 2], [1, 0, 2], [2, 2, 2]])
+    with pytest.raises(ValueError) as exc:
+        as_group(z2_zero)
+    assert str(exc.value) == "element z has no inverse; not a group"
 
 
 # power semigroups
@@ -247,8 +264,9 @@ def test_validate_action_rejects_non_automorphism():
     action = conjugation_action(2)
     broken = GroupAction(action.group, action.target,
                          (action.maps[0], (1, 0, 2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         validate_action(broken)
+    assert str(exc.value) == "map of 21 is not an automorphism: breaks at (10|01, 11|01)"
 
 
 # semidirect products
@@ -259,7 +277,7 @@ def test_semidirect_with_trivial_group_is_the_monoid(refl2):
     action = GroupAction(trivial, semi, (tuple(range(semi.size)),))
     product, pairs = semidirect_product(semi, trivial, action)
     assert product.size == semi.size
-    assert [row for row in product.table] == [row for row in semi.table]
+    assert np.array_equal(product.table, semi.table)
 
 
 def test_semidirect_r2_s2():

@@ -2,7 +2,12 @@ import random
 
 import numpy as np
 import pytest
-from helpers import random_relation_semigroups
+from helpers import (
+    random_relation_semigroups,
+    reference_check_homomorphism,
+    reference_is_block_group,
+    reference_subsemigroup_closure,
+)
 
 from hallkit import semigroups
 from hallkit import (
@@ -128,7 +133,7 @@ def test_validate_perturbed_power_semigroup_rows_off_the_generators():
         table[r][c] = (table[r][c] + rng.randrange(1, k)) % k
         bad = first_bad_triple(table)
         if bad is None:
-            assert validate_table(ps.labels, table).table == tuple(map(tuple, table))
+            assert np.array_equal(validate_table(ps.labels, table).table, table)
             continue
         x, y, z = (ps.labels[i] for i in bad)
         with pytest.raises(ValueError) as exc:
@@ -149,13 +154,72 @@ def test_validate_left_zero_band_every_element_a_generator():
         validate_table([str(i) for i in range(k)], table)
 
 
+@pytest.mark.parametrize("value", [0.5, 1.5, float("nan")])
+def test_validate_rejects_non_integer_entries(value):
+    with pytest.raises(ValueError) as exc:
+        validate_table(["a", "b"], [[0, 1], [value, 0]])
+    assert str(exc.value) == f"table entry at (2,1) is not an integer: {value}"
+    with pytest.raises(ValueError, match=r"entry at \(1,1\) is not an integer"):
+        validate_table(["a"], [[value]])
+
+
+def test_validate_integral_and_bool_entries():
+    assert np.array_equal(validate_table(["a", "b"], [[0.0, 1.0], [1.0, 0.0]]).table, Z2.table)
+    assert validate_table(["e"], [[False]]).identity == 0
+    with pytest.raises(ValueError, match=r"out of range: True"):
+        validate_table(["e"], [[True]])
+
+
+def test_table_is_one_read_only_int32_array(hall2):
+    made = [Z3, hall2[0], adjoin_identity(LEFT_ZERO), subsemigroup_closure(Z3, [1])[0],
+            FiniteSemigroup(("a", "b"), ((0, 0), (1, 1))), power_semigroup(Z2)[0]]
+    for semi in made:
+        assert isinstance(semi.table, np.ndarray)
+        assert semi.table.dtype == np.int32 and semi.table.shape == (semi.size, semi.size)
+        assert not semi.table.flags.writeable
+    mine = np.array([[0, 0], [1, 1]], dtype=np.int32)
+    semi = FiniteSemigroup(("a", "b"), mine)
+    mine[0, 1] = 1  # the caller's array is copied, not adopted
+    assert semi.mul(0, 1) == 0 and type(semi.mul(0, 1)) is int
+
+
 def test_validate_rejects_duplicates_and_bad_entries():
     with pytest.raises(ValueError, match="duplicate"):
         validate_table(["x", "x"], [[0, 0], [0, 0]])
     with pytest.raises(ValueError, match="out of range"):
         validate_table(["x", "y"], [[0, 2], [0, 0]])
-    with pytest.raises(ValueError, match="cap"):
-        validate_table([str(i) for i in range(4)], [[0] * 4] * 4, max_size=3)
+    # the cap is checked before the table is read
+    with pytest.raises(ValueError, match="table size 5001 exceeds the cap 5000"):
+        validate_table([str(i) for i in range(5001)], [])
+
+
+@pytest.mark.parametrize("slab", [1, semigroups.SLAB])
+def test_array_kernels_match_references(monkeypatch, slab, hall3, refl3, full2):
+    # slab=1 takes one row (or one source) per step, so every offset is exercised
+    monkeypatch.setattr(semigroups, "SLAB", slab)
+    right_zero = validate_table(["a", "b"], [[0, 1], [0, 1]])  # R-related idempotents
+    catalog = [hall3[0], refl3[0], full2[0], LEFT_ZERO, right_zero]
+    catalog += random_relation_semigroups(25)
+    rng = random.Random(11)
+    for semi in catalog:
+        assert is_block_group(semi) == reference_is_block_group(semi)
+        ids = idempotents(semi)
+        for gens in [ids] + [rng.sample(range(semi.size), rng.randint(1, min(3, semi.size)))
+                             for _ in range(4)]:
+            sub, parent = subsemigroup_closure(semi, gens)
+            want_parent, want_table = reference_subsemigroup_closure(semi, gens)
+            assert parent == want_parent
+            assert np.array_equal(sub.table, want_table)
+            assert sub.labels == tuple(semi.labels[p] for p in parent)
+        maps = [[e] * semi.size for e in ids[:2]]  # constant maps onto idempotents
+        for _ in range(6):
+            mapping = list(range(semi.size))
+            for _ in range(rng.randint(0, 2)):
+                mapping[rng.randrange(semi.size)] = rng.randrange(semi.size)
+            maps.append(mapping)
+        for mapping in maps:
+            assert (check_homomorphism(mapping, semi, semi)
+                    == reference_check_homomorphism(mapping, semi, semi))
 
 
 # adjoin_identity
@@ -210,9 +274,10 @@ def test_green_matches_ideal_oracle(refl2, hall2, full2, refl3, hall3):
     catalog += random_relation_semigroups(25)
     for semi in catalog:
         g = green_summary(semi)
-        assert list(g.r_classes) == ideal_partition(semi.table, "r")
-        assert list(g.l_classes) == ideal_partition(semi.table, "l")
-        assert list(g.j_classes) == ideal_partition(semi.table, "j")
+        table = semi.table.tolist()  # the pure-Python oracle indexes lists faster
+        assert list(g.r_classes) == ideal_partition(table, "r")
+        assert list(g.l_classes) == ideal_partition(table, "l")
+        assert list(g.j_classes) == ideal_partition(table, "j")
 
 
 def test_green_r2_all_singletons(refl2):
@@ -419,6 +484,10 @@ def test_relations_semigroup_closure_checks():
         semigroup_of_relations([swap])
     with pytest.raises(ValueError, match="duplicate"):
         semigroup_of_relations([swap, swap])
+    one, full = Relation.identity(2), Relation.full(2)
+    with pytest.raises(ValueError) as err:  # the first repeat in list order is named
+        semigroup_of_relations([swap, full, swap, one, full, swap])
+    assert str(err.value) == "duplicate relation at positions 1 and 3"
     with pytest.raises(ValueError, match="dimension"):
         semigroup_of_relations([Relation.identity(2), Relation.identity(3)])
 
@@ -460,7 +529,7 @@ def test_cayley_roundtrip(hall2):
     for semi in (Z2, SEMILATTICE, LEFT_ZERO, hall2[0]):
         again = parse_cayley(emit_cayley(semi))
         assert again.labels == semi.labels
-        assert again.table == semi.table
+        assert np.array_equal(again.table, semi.table)
         assert again.identity == semi.identity
 
 
