@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 
 from . import enumeration
 from .constructions import (
+    _check_subset_count,
     as_group,
     check_pairs_embedding,
     cyclic_group,
@@ -63,13 +65,19 @@ def parse_cayley_file(path: str):
 
 
 def _load_group(spec: str):
+    """The group of a spec, for the commands that take all its 2^k - 1 subsets:
+    a cyclic: or symmetric: order k meets the subset cap before the group is built."""
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"group spec {spec!r} must look like cyclic:<m>, symmetric:<n> or file:<path>")
     if kind == "cyclic":
+        _check_subset_count(int(arg))
         return cyclic_group(int(arg))
     if kind == "symmetric":
-        return symmetric_group_table(int(arg))
+        n = int(arg)
+        if n < 13:  # 13! is past the table cap, checked by symmetric_group_table without forming n!
+            _check_subset_count(math.factorial(max(n, 0)))
+        return symmetric_group_table(n)
     if kind == "file":
         return as_group(parse_cayley_file(arg))
     raise ValueError(f"unknown group kind {kind!r}")

@@ -11,13 +11,12 @@ is index arithmetic on the factor tables and the action.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .relations import (
-    SLAB,
+    MAX_DIM,
     Permutation,
     Relation,
     compose,
@@ -28,12 +27,12 @@ from .relations import (
     permutations_lex,
     reflexive_relations,
     relation_of,
+    slabs,
     union_product,
 )
 from .semigroups import (MAX_TABLE_SIZE, FiniteSemigroup, check_homomorphism,
                          semigroup_of_relations, validate_table)
 
-MAX_GROUP_ORDER = 64
 MAX_ACTION_DEGREE = 3
 
 
@@ -90,8 +89,7 @@ def as_group(s: FiniteSemigroup) -> FiniteGroup:
     if s.identity is None:
         raise ValueError("no identity element; not a group")
     t, e, ar = s.table, s.identity, np.arange(s.size)
-    step = max(1, SLAB // s.size)
-    inv = np.concatenate([(t[lo : lo + step] == e).argmax(axis=1) for lo in range(0, s.size, step)])
+    inv = np.concatenate([(t[lo:hi] == e).argmax(axis=1) for lo, hi in slabs(s.size, s.size)])
     bad = np.flatnonzero((t[ar, inv] != e) | (t[inv, ar] != e))
     if bad.size:
         raise ValueError(f"element {s.labels[bad[0]]} has no inverse; not a group")
@@ -113,9 +111,11 @@ def symmetric_group_table(n: int) -> FiniteGroup:
     lexicographic image order, multiplied as their relations (left to right)."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    size = math.factorial(n)
-    if size > MAX_TABLE_SIZE:
-        raise ValueError(f"symmetric group of degree {n} has {size} elements, over the cap")
+    order = 1
+    for d in range(2, n + 1):  # stops once the partial product passes the cap, never forming n!
+        order *= d
+        if order > MAX_TABLE_SIZE:
+            raise ValueError(f"symmetric group of degree {n} exceeds the table cap {MAX_TABLE_SIZE}")
     perms = permutations_lex(n)
     semi, _ = semigroup_of_relations([relation_of(p) for p in perms])
     return as_group(FiniteSemigroup(tuple(map(str, perms)), semi.table, semi.identity))
@@ -123,9 +123,8 @@ def symmetric_group_table(n: int) -> FiniteGroup:
 
 def _check_subset_count(k: int) -> None:
     """Refuse, before any work, a base whose 2^k - 1 nonempty subsets exceed the table cap."""
-    if (1 << k) - 1 > MAX_TABLE_SIZE:
-        raise ValueError(f"{(1 << k) - 1} nonempty subsets of {k} elements exceed the table cap"
-                         f" {MAX_TABLE_SIZE}")
+    if k > (MAX_TABLE_SIZE + 1).bit_length() - 1:  # 2^k - 1 > cap, without forming 2^k
+        raise ValueError(f"2^{k} - 1 nonempty subsets exceed the table cap {MAX_TABLE_SIZE}")
 
 
 def _translates(s: FiniteSemigroup, right):
@@ -158,8 +157,8 @@ def power_semigroup(s: FiniteSemigroup):
 def _subset_relations(group: FiniteGroup, masks) -> list[Relation]:
     """Subset relations of the masks: row g of the image of A is {g} * A."""
     n = group.size
-    if n > MAX_GROUP_ORDER:
-        raise ValueError(f"group order capped at {MAX_GROUP_ORDER}, got {n}")
+    if n > MAX_DIM:
+        raise ValueError(f"group order capped at {MAX_DIM}, got {n}")
     singletons = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
     rows = _subset_products(group.base, singletons, masks).T.tolist()
     return [Relation(n, tuple(r)) for r in rows]
@@ -184,26 +183,24 @@ def hall_embedding(group: FiniteGroup) -> dict[int, Relation]:
 def check_pairs_embedding(group: FiniteGroup, table: dict[int, Relation]):
     """Verify the subset-to-relation map is one-to-one and respects products.
 
-    Compares the relation product of images against the image of the subset
-    product, over every ordered pair of nonempty subsets, a slab of left
-    subsets at a time. Returns (injective, multiplicative, pairs_checked).
+    Compares the relation product of images with the image of the subset
+    product over all ordered pairs of nonempty subsets, a slab of left subsets
+    at a time, to the first bad slab. Returns (injective, multiplicative, pairs_checked).
     """
     keys = sorted(table)
     injective = len(set(table.values())) == len(keys)
     masks = np.array(keys, dtype=np.uint64)
     images = np.array([table[m].rows for m in keys], dtype=np.uint64)
-    multiplicative = True
     translate = _translates(group.base, masks)
-    step = max(1, SLAB // max(1, images.size))
-    for lo in range(0, len(keys), step):
-        products = union_product(masks[lo : lo + step], translate)
+    for lo, hi in slabs(len(keys), images.size):
+        products = union_product(masks[lo:hi], translate)
         at = np.minimum(np.searchsorted(masks, products), len(keys) - 1)
         # composed[x, :, y] holds the rows of image(x) * image(y)
-        composed = union_product(images[lo : lo + step], images.T)
+        composed = union_product(images[lo:hi], images.T)
         if not (np.array_equal(masks[at], products)
                 and np.array_equal(composed, images[at].transpose(0, 2, 1))):
-            multiplicative = False
-    return injective, multiplicative, len(keys) ** 2
+            return injective, False, len(keys) ** 2
+    return injective, True, len(keys) ** 2
 
 
 def validate_action(action: GroupAction) -> None:

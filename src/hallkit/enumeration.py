@@ -33,6 +33,7 @@ from .relations import (
     hall_relations,
     permutations_lex,
     reflexive_relations,
+    slabs,
 )
 from .semigroups import (
     check_homomorphism,
@@ -166,9 +167,8 @@ def count_reflexive(n: int) -> int:
         raise ValueError(f"counting supported for 1 <= n <= {MAX_COUNT_DIM}, got {n}")
     diag = np.uint64(Relation.identity(n).code)
     total = 0
-    step = 1 << min(n * n, 22)
-    for base in range(0, 1 << (n * n), step):
-        codes = np.arange(base, base + step, dtype=np.uint64)
+    for lo, hi in slabs(1 << (n * n), 1):
+        codes = np.arange(lo, hi, dtype=np.uint64)
         total += int(np.count_nonzero((codes & diag) == diag))
     return total
 

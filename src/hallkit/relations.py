@@ -4,6 +4,7 @@ A relation is stored as one machine word per row (column j of row i is bit j),
 which keeps relation product, union and containment down to a few integer ops.
 union_product is the batched numpy product behind relation-semigroup tables,
 subset products and the embedding check; compose stays the single product.
+SLAB is the one working-set budget of the slabbed kernels; slabs is its only reader.
 All public I/O is 1-based; internal indices are 0-based.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 MAX_DIM = 64
 PERMANENT_MAX_DIM = 12
-SLAB = 1 << 18  # output cells per union_product call in slabbed callers
+SLAB = 1 << 18  # cells per slab: the one working-set budget, read only by slabs
 
 
 def _bits(mask):
@@ -139,6 +140,13 @@ def compose(r: Relation, s: Relation) -> Relation:
             acc |= s.rows[z]
         out.append(acc)
     return Relation(r.dim, tuple(out))
+
+
+def slabs(count, width):
+    """Row ranges (lo, hi) covering range(count) in order, max(1, SLAB // width) rows at most."""
+    step = max(1, SLAB // max(1, width))
+    for lo in range(0, count, step):
+        yield lo, min(lo + step, count)
 
 
 def union_product(masks, values):

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .relations import SLAB, Relation, union_product
+from .relations import Relation, slabs, union_product
 
 MAX_TABLE_SIZE = 5000
 MAX_DIVISION_TARGET = 12
@@ -90,7 +90,6 @@ def _reach(t, gens, reached, cand):
     a in gens, a slab at a time. Duplicates go through the slot array, not
     np.unique, whose first call costs more than a whole pick on small tables."""
     slot = np.zeros(len(t), dtype=np.intp)
-    step = max(1, SLAB // len(gens))
     todo = []
     while True:
         cand = cand[~reached[cand]]
@@ -98,7 +97,7 @@ def _reach(t, gens, reached, cand):
         slot[cand] = order
         fresh = cand[slot[cand] == order]
         reached[fresh] = True
-        todo += [fresh[lo : lo + step] for lo in range(0, fresh.size, step)]
+        todo += [fresh[lo:hi] for lo, hi in slabs(fresh.size, len(gens))]
         if not todo:
             return
         cand = t[np.ix_(todo.pop(), gens)].ravel()
@@ -135,10 +134,8 @@ def _check_associative(t, labels):
     lexicographically first bad triple.
     """
     xs = _generators(t)
-    k = len(t)
-    slab = max(1, (1 << 22) // (k * k))
-    for lo in range(0, len(xs), slab):
-        sub = t[xs[lo : lo + slab]]
+    for lo, hi in slabs(len(xs), t.size):  # a generator row x spans k x k pairs (y, z)
+        sub = t[xs[lo:hi]]
         left = t[sub, :]          # (x*y)*z
         right = sub[:, t]         # x*(y*z)
         if not np.array_equal(left, right):
@@ -255,10 +252,9 @@ def is_block_group(s: FiniteSemigroup):
     pair) or (True, None).
     """
     t, f = s.table, np.array(idempotents(s), dtype=np.intp)
-    step = max(1, SLAB // max(1, f.size))
     for swap in (False, True):
-        for lo in range(0, f.size, step):
-            e = f[lo : lo + step, None]
+        for lo, hi in slabs(f.size, f.size):
+            e = f[lo:hi, None]
             x, y = (f, e) if swap else (e, f)
             hit = (t[e, f] == x) & (t[f, e] == y) & (e != f)
             if hit.any():
@@ -304,10 +300,9 @@ def check_homomorphism(mapping, s: FiniteSemigroup, t: FiniteSemigroup) -> Homom
         if not 0 <= v < t.size:
             raise ValueError(f"mapping value {v} out of range for the target")
     f = np.array(mapping, dtype=np.intp)
-    step = max(1, SLAB // s.size)
-    for lo in range(0, s.size, step):
+    for lo, hi in slabs(s.size, s.size):
         # f(xy) against f(x)f(y) for a slab of rows x, in row-major order
-        bad = f[s.table[lo : lo + step]] != t.table[f[lo : lo + step, None], f]
+        bad = f[s.table[lo:hi]] != t.table[f[lo:hi, None], f]
         if bad.any():
             x, y = np.argwhere(bad)[0]
             return HomomorphismCheck(False, False, False, (lo + int(x), int(y)))
@@ -394,10 +389,9 @@ def semigroup_of_relations(elements):
         d = twins[np.argmin(order[twins + 1])]
         raise ValueError(f"duplicate relation at positions {order[d] + 1} and {order[d + 1] + 1}")
     table = np.empty((len(rows), len(rows)), dtype=np.int32)
-    step = max(1, SLAB // rows.size)
-    for lo in range(0, len(rows), step):
+    for lo, hi in slabs(len(rows), rows.size):
         # block[i, j] holds the rows of element lo+i * element j
-        block = np.ascontiguousarray(union_product(rows[lo : lo + step], rows.T).transpose(0, 2, 1))
+        block = np.ascontiguousarray(union_product(rows[lo:hi], rows.T).transpose(0, 2, 1))
         found = block.view(key)[..., 0]
         at = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
         missing = keys[at] != found
@@ -407,7 +401,7 @@ def semigroup_of_relations(elements):
                 f"element list is not closed: element {lo + i + 1} * element {j + 1}"
                 f" = {Relation(dim, tuple(block[i, j].tolist()))} is outside the list"
             )
-        table[lo : lo + step] = order[at]
+        table[lo:hi] = order[at]
     labels = tuple(str(r) for r in elements)
     semi = validate_table(labels, table)
     return semi, elements

@@ -1,10 +1,14 @@
 import json
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hallkit.cli import dispatch, main, parse_cayley_file, parse_relation_file, render
+from hallkit.relations import MAX_DIM
 
 
 @pytest.fixture
@@ -96,6 +100,20 @@ def test_power_group_over_cap(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "error"
     assert "cap" in report["witnesses"][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["power-group", "--group", "symmetric:1000000"],
+    ["embed", "--group", "cyclic:5000"],
+    ["power-group", "--group", "symmetric:6"],
+])
+def test_group_orders_past_the_subset_cap_refused_before_work(argv):
+    start = time.perf_counter()
+    report, code = dispatch(argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and report["status"] == "error"
+    message = report["witnesses"][0]
+    assert "cap" in message and len(message) < 120
 
 
 def test_embed(files):
@@ -249,3 +267,100 @@ def test_main_exit_codes(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-hall", files["zero2.rel"]])
     assert exc.value.code == 1
+
+
+# the exit-code contract on hostile input: exit 2, a JSON error report, no exception
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+WORDS = st.text(st.characters(exclude_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), max_size=8)
+NON_INT = WORDS.filter(_not_an_int)
+REFUSED_ORDERS = st.one_of(st.integers(max_value=0), st.integers(min_value=13)).map(str)
+
+GROUP_SPECS = st.one_of(
+    st.tuples(st.sampled_from(["cyclic", "symmetric"]), st.one_of(REFUSED_ORDERS, NON_INT))
+    .map(":".join),
+    st.tuples(WORDS.filter(lambda k: k not in ("cyclic", "symmetric", "file")), WORDS)
+    .map(":".join),
+    WORDS.filter(lambda spec: ":" not in spec),
+)
+
+
+@st.composite
+def bad_relmat(draw):
+    """A relmat text with one flaw: its dimension, its row count, a row's length or a character."""
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.text("01", min_size=n, max_size=n)) for _ in range(n)]
+    flaw = draw(st.sampled_from(["dimension", "short", "long", "width", "character"]))
+    head = str(n)
+    if flaw == "dimension":
+        head = draw(st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_DIM + 1)).map(str)
+                    | NON_INT.filter(lambda w: w.strip()))
+    elif flaw == "short":
+        rows = rows[: draw(st.integers(0, n - 1))]
+    elif flaw == "long":
+        rows.append(rows[0])
+    else:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        extra = "1" if flaw == "width" else draw(st.sampled_from("2x.-#"))
+        rows[i] = rows[i][:j] + extra + rows[i][j + (flaw == "character"):]
+    return "\n".join([head] + rows) + "\n"
+
+
+@st.composite
+def bad_cayley(draw):
+    """A cayley text with one flaw: a label, the row count, a row's width, an entry, the identity."""
+    k = draw(st.integers(1, 5))
+    labels = [f"x{i}" for i in range(k)]
+    rows = [[str(draw(st.integers(1, k))) for _ in range(k)] for _ in range(k)]
+    flaw = draw(st.sampled_from(["label", "short", "long", "width", "entry", "range", "identity"]))
+    trailer = []
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    if flaw == "label":
+        labels[i] = ""
+    elif flaw == "short":
+        rows = rows[: draw(st.integers(0, k - 1))]
+    elif flaw == "long":
+        rows.append(rows[0])
+    elif flaw == "width":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    elif flaw == "entry":
+        rows[i][j] = draw(NON_INT.filter(lambda w: "," not in w))
+    elif flaw == "range":
+        rows[i][j] = str(draw(st.one_of(st.integers(max_value=0), st.integers(min_value=k + 1))))
+    else:
+        trailer = ["identity=nowhere"]
+    return "\n".join([",".join(labels)] + [",".join(r) for r in rows] + trailer) + "\n"
+
+
+def _assert_refused(argv):
+    start = time.perf_counter()
+    report, code = dispatch(argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert report["status"] == "error" and report["results"] == {} and report["witnesses"]
+    assert json.loads(render(report))["schema"] == "hallkit-report v1"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["power-group", "embed"]), GROUP_SPECS)
+def test_hostile_group_specs_exit_2(command, spec):
+    _assert_refused([command, f"--group={spec}"])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(bad_relmat().map(lambda t: ("check-hall", t)),
+                 bad_cayley().map(lambda t: ("analyze", t))))
+def test_malformed_files_exit_2(case):
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        _assert_refused([command, str(path)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hallkit as hk
-from hallkit import constructions
+from hallkit import relations
 from hallkit import (
     GroupAction,
     GroupSubset,
@@ -77,9 +77,9 @@ def test_as_group_rejects_non_groups():
         as_group(left_zero)
 
 
-@pytest.mark.parametrize("slab", [1, constructions.SLAB])
+@pytest.mark.parametrize("slab", [1, relations.SLAB])
 def test_as_group_inverses_by_slab(monkeypatch, slab):
-    monkeypatch.setattr(constructions, "SLAB", slab)  # slab=1: one row at a time
+    monkeypatch.setattr(relations, "SLAB", slab)  # slab=1: one row at a time
     for g in (cyclic_group(6), symmetric_group_table(3)):
         again = as_group(g.base)
         for x in range(g.size):
@@ -173,6 +173,14 @@ def test_subset_mask_validation():
         GroupSubset(g, 4)
 
 
+def test_subset_relation_order_capped_at_max_dim():
+    group = cyclic_group(relations.MAX_DIM + 1)
+    with pytest.raises(ValueError) as exc:
+        subset_relation(GroupSubset(group, 1))
+    cap = relations.MAX_DIM
+    assert str(exc.value) == f"group order capped at {cap}, got {cap + 1}"
+
+
 def test_subset_relation_matches_definition():
     # symmetric:3 is non-commutative, so g^{-1}h in A differs from h g^{-1} in A
     g = symmetric_group_table(3)
@@ -201,9 +209,9 @@ def test_embedding_z3_injective_and_multiplicative():
     assert injective and multiplicative and pairs == 49
 
 
-@pytest.mark.parametrize("slab", [1, constructions.SLAB])
+@pytest.mark.parametrize("slab", [1, relations.SLAB])
 def test_embedding_check_reports_failures(monkeypatch, slab):
-    monkeypatch.setattr(constructions, "SLAB", slab)  # slab=1: one left subset per slab
+    monkeypatch.setattr(relations, "SLAB", slab)  # slab=1: one left subset per slab
     g = cyclic_group(3)
     table = hall_embedding(g)
     assert check_pairs_embedding(g, table) == (True, True, 49)

@@ -27,7 +27,8 @@ from hallkit import (
     transpose,
     union,
 )
-from hallkit.relations import MAX_DIM, union_product
+from hallkit import relations as relations_module
+from hallkit.relations import MAX_DIM, slabs, union_product
 
 
 def rel(n, *pairs):
@@ -100,6 +101,18 @@ def test_compose_single_chain():
 def test_compose_swap_squares_to_identity():
     swap = rel(2, (1, 2), (2, 1))
     assert compose(swap, swap) == Relation.identity(2)
+
+
+@pytest.mark.parametrize("slab", [1, 7, 1000, relations_module.SLAB])
+def test_slabs_cover_rows_in_order(monkeypatch, slab):
+    monkeypatch.setattr(relations_module, "SLAB", slab)
+    for count in (0, 1, 6, 999, 1000, 1001, 12345):
+        for width in (1, 3, 7, 64, slab - 1 or 1, slab, slab + 1, 3 * slab):
+            ranges = list(slabs(count, width))
+            rows = max(1, slab // width)
+            assert [i for lo, hi in ranges for i in range(lo, hi)] == list(range(count))
+            assert all(0 < hi - lo <= rows for lo, hi in ranges)
+            assert len(ranges) == -(-count // rows)  # only the last slab may be partial
 
 
 def test_union_product_matches_compose():

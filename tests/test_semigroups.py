@@ -9,7 +9,7 @@ from helpers import (
     reference_subsemigroup_closure,
 )
 
-from hallkit import semigroups
+from hallkit import relations, semigroups
 from hallkit import (
     FiniteSemigroup,
     Relation,
@@ -94,7 +94,9 @@ def test_validate_rejects_nonassociative():
         validate_table(["x", "y"], [[1, 0], [0, 0]])
 
 
-def test_validate_names_first_nonassociative_triple():
+@pytest.mark.parametrize("slab", [1, relations.SLAB])
+def test_validate_names_first_nonassociative_triple(monkeypatch, slab):
+    monkeypatch.setattr(relations, "SLAB", slab)  # slab=1: one generator row at a time
     k = 70
     table = [[max(x, y) for y in range(k)] for x in range(k)]  # a chain semilattice
     table[40][50] = 3
@@ -119,10 +121,12 @@ def test_greedy_generators_reach_every_element(hall3):
     assert len(semigroups._generators(np.asarray(ps.table))) == 8
 
 
-def test_validate_perturbed_power_semigroup_rows_off_the_generators():
+@pytest.mark.parametrize("slab", [1, relations.SLAB])
+def test_validate_perturbed_power_semigroup_rows_off_the_generators(monkeypatch, slab):
     # Light's test sweeps only the 8 generator rows of this 63-element table;
     # a broken entry in any other row must still be found, and named as the
     # lexicographically first bad triple of the whole table
+    monkeypatch.setattr(relations, "SLAB", slab)
     ps = power_semigroup(cyclic_group(6).base)[0]
     k = ps.size
     gens = set(semigroups._generators(np.asarray(ps.table)).tolist())
@@ -193,10 +197,10 @@ def test_validate_rejects_duplicates_and_bad_entries():
         validate_table([str(i) for i in range(5001)], [])
 
 
-@pytest.mark.parametrize("slab", [1, semigroups.SLAB])
+@pytest.mark.parametrize("slab", [1, relations.SLAB])
 def test_array_kernels_match_references(monkeypatch, slab, hall3, refl3, full2):
     # slab=1 takes one row (or one source) per step, so every offset is exercised
-    monkeypatch.setattr(semigroups, "SLAB", slab)
+    monkeypatch.setattr(relations, "SLAB", slab)
     right_zero = validate_table(["a", "b"], [[0, 1], [0, 1]])  # R-related idempotents
     catalog = [hall3[0], refl3[0], full2[0], LEFT_ZERO, right_zero]
     catalog += random_relation_semigroups(25)
@@ -492,10 +496,10 @@ def test_relations_semigroup_closure_checks():
         semigroup_of_relations([Relation.identity(2), Relation.identity(3)])
 
 
-@pytest.mark.parametrize("slab", [1, 1000, semigroups.SLAB])
+@pytest.mark.parametrize("slab", [1, 1000, relations.SLAB])
 def test_relations_semigroup_table_matches_compose(monkeypatch, slab):
     # slab=1 takes one left element per batched product, 1000 takes five
-    monkeypatch.setattr(semigroups, "SLAB", slab)
+    monkeypatch.setattr(relations, "SLAB", slab)
     elems = list(reflexive_relations(3))
     semi, _ = semigroup_of_relations(elems)
     for i, a in enumerate(elems):
@@ -503,11 +507,11 @@ def test_relations_semigroup_table_matches_compose(monkeypatch, slab):
             assert elems[semi.table[i][j]] == compose(a, b)
 
 
-@pytest.mark.parametrize("slab", [1, semigroups.SLAB])
+@pytest.mark.parametrize("slab", [1, relations.SLAB])
 def test_relations_semigroup_names_first_escape_row_major(monkeypatch, slab):
     # row 1 is closed; rows 2 and 3 each escape once, with different
     # products, so a column-major search would name element 3 * element 2
-    monkeypatch.setattr(semigroups, "SLAB", slab)
+    monkeypatch.setattr(relations, "SLAB", slab)
     one = Relation.from_pairs(2, [(1, 1)])
     swap = Relation.from_pairs(2, [(1, 2), (2, 1)])
     assert compose(one, swap) != compose(swap, one)
