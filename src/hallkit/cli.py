@@ -16,28 +16,16 @@ import os
 import sys
 import time
 
-from . import enumeration
-from .constructions import (
-    _check_subset_count,
-    as_group,
-    check_pairs_embedding,
-    cyclic_group,
-    hall_embedding,
-    power_semigroup,
-    symmetric_group_table,
-)
+# Only the pure-Python relation layer is loaded up front. The handlers of the
+# table-engine commands import semigroups, constructions and enumeration (and
+# with them numpy) when they run, so check-hall, compose and most refusals
+# start a fresh process without numpy.
 from .relations import (
     Relation,
     compose,
     emit_relmat,
     is_hall,
     parse_relmat,
-)
-from .semigroups import (
-    find_division,
-    green_summary,
-    is_block_group,
-    parse_cayley,
 )
 
 SCHEMA = "hallkit-report v1"
@@ -61,26 +49,44 @@ def parse_relation_file(path: str) -> Relation:
 
 
 def parse_cayley_file(path: str):
+    from .semigroups import parse_cayley
+
     return _parse_file(path, parse_cayley)
 
 
+def _bad_spec(spec: str, problem: str) -> ValueError:
+    """A refusal that names the group spec, its repr cut to 40 characters."""
+    shown = repr(spec)
+    return ValueError(f"group spec {shown[:40]}{'...' if len(shown) > 40 else ''} {problem}")
+
+
 def _load_group(spec: str):
-    """The group of a spec, for the commands that take all its 2^k - 1 subsets:
-    a cyclic: or symmetric: order k meets the subset cap before the group is built."""
+    """The group of a spec, for the commands that take all its 2^k - 1 subsets.
+
+    The kind and the order are checked before the table engine is imported, and
+    the order meets the subset cap before the group is built; every refusal
+    names the spec."""
     kind, sep, arg = spec.partition(":")
-    if not sep:
-        raise ValueError(f"group spec {spec!r} must look like cyclic:<m>, symmetric:<n> or file:<path>")
-    if kind == "cyclic":
-        _check_subset_count(int(arg))
-        return cyclic_group(int(arg))
-    if kind == "symmetric":
-        n = int(arg)
-        if n < 13:  # 13! is past the table cap, checked by symmetric_group_table without forming n!
-            _check_subset_count(math.factorial(max(n, 0)))
-        return symmetric_group_table(n)
+    if not sep or kind not in ("cyclic", "symmetric", "file"):
+        raise _bad_spec(spec, "must look like cyclic:<m>, symmetric:<n> or file:<path>")
     if kind == "file":
+        from .constructions import as_group
+
         return as_group(parse_cayley_file(arg))
-    raise ValueError(f"unknown group kind {kind!r}")
+    try:
+        order = int(arg)
+    except ValueError:  # also raised past Python's digit limit for int()
+        raise _bad_spec(spec, "must give an integer order") from None
+    if order < 1:
+        raise _bad_spec(spec, "must give an order of at least 1")
+    from .constructions import _check_subset_count, cyclic_group, symmetric_group_table
+    from .semigroups import MAX_TABLE_SIZE
+
+    try:  # 13! is past the table cap, so n! is formed for n <= 13 only
+        _check_subset_count(order if kind == "cyclic" else math.factorial(min(order, 13)))
+    except ValueError:
+        raise _bad_spec(spec, f"has more nonempty subsets than the table cap {MAX_TABLE_SIZE}") from None
+    return cyclic_group(order) if kind == "cyclic" else symmetric_group_table(order)
 
 
 def _labels(semi, indices):
@@ -108,6 +114,8 @@ def _cmd_compose(args):
 
 
 def _cmd_analyze(args):
+    from .semigroups import green_summary, is_block_group
+
     semi = parse_cayley_file(args.cayley)
     green = green_summary(semi)
     block, pair = is_block_group(semi)
@@ -127,6 +135,9 @@ def _cmd_analyze(args):
 
 def _cmd_power_group(args):
     group = _load_group(args.group)
+    from .constructions import power_semigroup
+    from .semigroups import is_block_group
+
     power, _masks = power_semigroup(group.base)
     block, pair = is_block_group(power)
     results = {
@@ -143,6 +154,8 @@ def _cmd_power_group(args):
 
 def _cmd_embed(args):
     group = _load_group(args.group)
+    from .constructions import check_pairs_embedding, hall_embedding
+
     table = hall_embedding(group)
     injective, multiplicative, pairs = check_pairs_embedding(group, table)
     results = {
@@ -164,6 +177,8 @@ def _cmd_embed(args):
 
 
 def _cmd_semidirect(args):
+    from . import enumeration
+
     n = args.n
     hall, hall_elems = enumeration.materialize_hall(n)
     check = enumeration.semidirect_surjection(n, hall, hall_elems)
@@ -192,6 +207,8 @@ def _worker_count(args):
 
 
 def _cmd_count_hall(args):
+    from . import enumeration
+
     report = enumeration.count_hall(args.n, _worker_count(args))
     results = {
         "n": report.n,
@@ -206,6 +223,8 @@ def _cmd_count_hall(args):
 
 
 def _cmd_campaign(args):
+    from . import enumeration
+
     start = time.perf_counter()
     report = enumeration.verification_campaign(args.n)
     results = {
@@ -228,6 +247,8 @@ def _cmd_campaign(args):
 
 
 def _cmd_divide(args):
+    from .semigroups import find_division
+
     source = parse_cayley_file(args.source)
     target = parse_cayley_file(args.target)
     witness = find_division(source, target, max_generators=args.max_generators)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 MAX_DIM = 64
 PERMANENT_MAX_DIM = 12
 SLAB = 1 << 18  # cells per slab: the one working-set budget, read only by slabs
@@ -157,6 +155,8 @@ def union_product(masks, values):
     subset product AB the union of the translates aB picked by A. Only the
     output is allocated at full size; callers bound it by slabs of masks.
     """
+    import numpy as np  # here only, so the pure-relation commands start without numpy
+
     masks = np.asarray(masks, dtype=np.uint64)[..., None]
     values = np.asarray(values, dtype=np.uint64)
     out = np.zeros(masks.shape[:-1] + values.shape[1:], dtype=np.uint64)

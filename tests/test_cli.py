@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -8,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hallkit.cli import dispatch, main, parse_cayley_file, parse_relation_file, render
+from hallkit.enumeration import MAX_COUNT_DIM, MAX_MATERIALIZE_DIM
 from hallkit.relations import MAX_DIM
 
 
@@ -196,6 +200,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # name -> (argv, exit code); each report is GOLDEN/<name>.json, the stdout of
 # `python -m hallkit.cli <argv> --no-timing` run inside tests/golden
 GOLDEN_REPORTS = {
+    "check-hall-hall3": (["check-hall", "hall3.rel"], 0),
+    "check-hall-nonhall3": (["check-hall", "nonhall3.rel"], 1),
+    "compose-hall3-nonhall3": (["compose", "hall3.rel", "nonhall3.rel"], 0),
+    "count-hall-3": (["count-hall", "--n", "3"], 0),
     "analyze-hall2": (["analyze", "hall2.cay"], 0),
     "power-group-cyclic4": (["power-group", "--group", "cyclic:4"], 0),
     "power-group-symmetric3": (["power-group", "--group", "symmetric:3"], 0),
@@ -205,6 +213,10 @@ GOLDEN_REPORTS = {
     "divide-semilattice-hall2": (["divide", "semilattice.cay", "hall2.cay"], 0),
     "refuse-power-group-cyclic13": (["power-group", "--group", "cyclic:13"], 2),
     "refuse-analyze-nonassoc": (["analyze", "nonassoc.cay"], 2),
+    "refuse-check-hall-missing": (["check-hall", "missing.rel"], 2),
+    "refuse-check-hall-malformed": (["check-hall", "malformed.rel"], 2),
+    "refuse-count-hall-9": (["count-hall", "--n", "9"], 2),
+    "refuse-power-group-cyclic-x": (["power-group", "--group", "cyclic:x"], 2),
 }
 
 
@@ -216,6 +228,47 @@ def test_golden_reports(name, monkeypatch, capsys):
         main(argv + ["--no-timing"])
     assert exc.value.code == code
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _fresh_python(*args):
+    """Run a new interpreter inside tests/golden, on this checkout's sources."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, *args], cwd=GOLDEN, capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+
+
+HEAVY_MODULES = ("numpy", "concurrent.futures", "multiprocessing")
+
+LOADED_AFTER = """
+import json, sys
+import hallkit.cli
+for argv in json.loads(sys.argv[1]):
+    hallkit.cli.dispatch(argv)
+print(json.dumps([m for m in %r if m in sys.modules]))
+""" % (HEAVY_MODULES,)
+
+
+@pytest.mark.parametrize("argvs, loaded", [
+    ([], []),
+    ([["check-hall", "hall3.rel"], ["check-hall", "nonhall3.rel"],
+      ["compose", "hall3.rel", "nonhall3.rel"], ["check-hall", "missing.rel"],
+      ["power-group", "--group", "cyclic:x"]], []),
+    ([["analyze", "hall2.cay"]], ["numpy"]),
+], ids=["import", "pure-relation-commands", "analyze"])
+def test_fresh_cli_loads_the_table_engine_only_when_used(argvs, loaded):
+    # a subprocess, because this test process already holds numpy
+    proc = _fresh_python("-c", LOADED_AFTER, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == loaded
+
+
+@pytest.mark.parametrize("name", ["check-hall-nonhall3", "compose-hall3-nonhall3",
+                                  "refuse-power-group-cyclic-x"])
+def test_golden_reports_from_the_entry_point(name):
+    argv, code = GOLDEN_REPORTS[name]
+    proc = _fresh_python("-m", "hallkit.cli", *argv, "--no-timing")
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_input_error_exit_code(files):
@@ -347,12 +400,37 @@ def _assert_refused(argv):
     assert code == 2
     assert report["status"] == "error" and report["results"] == {} and report["witnesses"]
     assert json.loads(render(report))["schema"] == "hallkit-report v1"
+    return report["witnesses"][0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["power-group", "embed"]), GROUP_SPECS)
 def test_hostile_group_specs_exit_2(command, spec):
-    _assert_refused([command, f"--group={spec}"])
+    message = _assert_refused([command, f"--group={spec}"])
+    assert repr(spec)[:40] in message and len(message) < 120
+
+
+HOSTILE_N = {
+    "count-hall": MAX_COUNT_DIM,
+    "semidirect": MAX_MATERIALIZE_DIM,
+    "campaign": MAX_MATERIALIZE_DIM,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(HOSTILE_N)).flatmap(lambda command: st.tuples(
+    st.just(command), st.one_of(st.integers(max_value=0),
+                                st.integers(min_value=HOSTILE_N[command] + 1)))))
+def test_hostile_dimensions_exit_2(case):
+    command, n = case
+    _assert_refused([command, f"--n={n}"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(max_value=0))
+def test_hostile_worker_counts_exit_2(workers):
+    # only counts below 1: a large count would start a real process pool
+    _assert_refused(["count-hall", "--n", "2", f"--workers={workers}"])
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
