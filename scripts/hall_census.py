@@ -6,7 +6,7 @@ method, then recomputes the same number with the independent oracle (Ryser's
 permanent over row multisets) so the two can be compared side by side.
 
 Usage:
-  python scripts/hall_census.py --max-n 5 --workers 2
+  python scripts/hall_census.py --max-n 5
 """
 
 import argparse
@@ -18,14 +18,13 @@ from hallkit import count_hall, count_hall_inclusion_exclusion, count_reflexive
 def main():
     parser = argparse.ArgumentParser(description="Hall relation census")
     parser.add_argument("--max-n", type=int, default=5, help="largest ground set (default: 5)")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes for the count")
     args = parser.parse_args()
 
     header = f"{'n':>2} {'reflexive':>12} {'hall (count)':>14} {'hall (oracle)':>14} {'agree':>6} {'count s':>9} {'oracle s':>9}"
     print(header)
     print("-" * len(header))
     for n in range(1, args.max_n + 1):
-        report = count_hall(n, workers=args.workers)
+        report = count_hall(n)
         t0 = time.perf_counter()
         oracle = count_hall_inclusion_exclusion(n)
         oracle_seconds = time.perf_counter() - t0

@@ -196,7 +196,7 @@ def _cmd_semidirect(args):
 
 
 def _worker_count(args):
-    """--workers, else HALLKIT_WORKERS, else 1; count_hall rejects values below 1."""
+    """--workers, else HALLKIT_WORKERS, else 1; only checked (at least 1) and echoed."""
     if args.workers is not None:
         return args.workers
     text = os.environ.get("HALLKIT_WORKERS", "1")
@@ -269,7 +269,7 @@ def _cmd_divide(args):
 
 
 def _render_pretty(report):
-    lines = [f"{report['command']}: {report['status']}"]
+    lines = [f"{report['command'] or 'hallkit'}: {report['status']}"]
     for key, value in sorted(report["inputs"].items()):
         lines.append(f"  input {key} = {value}")
 
@@ -288,8 +288,16 @@ def _render_pretty(report):
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, to be reported like any input error."""
+
+    def error(self, message):
+        # argparse repeats a bad value in full; the cut keeps the witness short
+        raise ValueError(message if len(message) <= 180 else message[:177] + "...")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="hallkit", description=__doc__)
+    parser = _Parser(prog="hallkit", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="render a text report instead of JSON")
     common.add_argument("--no-timing", action="store_true", help="omit timing fields from the report")
@@ -324,7 +332,7 @@ def _build_parser():
         "count-hall", parents=[common], help="count Hall matrices by the transfer-matrix method"
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, help="echoed only; the count runs in process")
     p.set_defaults(handler=_cmd_count_hall, echo=lambda a: {"n": a.n, "workers": _worker_count(a)})
 
     p = sub.add_parser("campaign", parents=[common], help="run the verification campaign")
@@ -343,16 +351,15 @@ def _build_parser():
 
 
 def dispatch(argv):
-    """Run one command; returns (report dict or None, exit code)."""
-    parser = _build_parser()
+    """Run one command; returns (report dict, exit code), or (None, 0) after --help."""
+    report = {"schema": SCHEMA, "command": None, "inputs": {}}
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return None, 2 if exc.code else 0
-    report = {"schema": SCHEMA, "command": args.command, "inputs": {}}
-    try:
+        args = _build_parser().parse_args(argv)
+        report["command"] = args.command
         report["inputs"] = args.echo(args)
         results, status, witnesses = args.handler(args)
+    except SystemExit as exc:  # --help; usage errors raise ValueError instead
+        return None, 2 if exc.code else 0
     except ValueError as exc:
         report["results"] = {}
         report["status"] = "error"

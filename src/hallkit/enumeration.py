@@ -2,10 +2,10 @@
 
 Two independent routes establish every Hall count. count_hall merges all
 2^(n^2) matrices by matching state one row at a time, carrying integer
-multiplicities (the transfer-matrix method), partitioned by first-row value.
-The oracle, count_hall_inclusion_exclusion, runs no matching at all: it sums
-Ryser's permanent over the sorted multisets of nonzero rows, each weighted by
-its number of orderings.
+multiplicities (the transfer-matrix method). The oracle,
+count_hall_inclusion_exclusion, runs no matching at all: it sums Ryser's
+permanent over the sorted multisets of nonzero rows, each weighted by its
+number of orderings.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,17 +104,17 @@ def _hall_flags(rows, n):
     return (state >> np.uint64((1 << n) - 1)) & np.uint64(1) == 1
 
 
-def _count_partition(n, top):
-    """Hall matrices whose first row equals top, by the transfer-matrix method.
+def _count(n):
+    """Hall matrices among all 2^(n^2), by the transfer-matrix method.
 
     Matrices are merged by matching state one row at a time, each distinct
     state carrying the number of row prefixes that reach it. Zero rows and
     dead states are dropped, since neither can lead to a Hall matrix.
     """
     rows = np.arange(1, 1 << n, dtype=np.uint32)
-    states = _step(np.ones(1, dtype=np.uint64), np.array([top], dtype=np.uint32), n)
+    states = np.ones(1, dtype=np.uint64)
     weights = np.ones(1, dtype=np.int64)
-    for _ in range(n - 1):
+    for _ in range(n):
         nxt = _step(np.repeat(states, rows.size), np.tile(rows, states.size), n)
         live = nxt != 0
         states, inverse = np.unique(nxt[live], return_inverse=True)
@@ -129,23 +128,15 @@ def _count_partition(n, top):
 def count_hall(n: int, workers: int = 1) -> EnumerationReport:
     """Count the Hall matrices among all 2^(n^2) by the transfer-matrix method.
 
-    The count is partitioned by first-row value; with workers > 1 the
-    partitions run in a process pool and are summed in a fixed order, so the
-    count does not depend on the worker count.
+    The count always runs in this process; workers is only checked and echoed
+    as worker_count, so the count does not depend on it.
     """
     if not 1 <= n <= MAX_COUNT_DIM:
         raise ValueError(f"counting supported for 1 <= n <= {MAX_COUNT_DIM}, got {n}")
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     start = time.perf_counter()
-    tops = range(1 << n)
-    if workers == 1:
-        counts = [_count_partition(n, t) for t in tops]
-    else:
-        # only 2^n partitions exist; a larger pool would only start idle processes
-        with ProcessPoolExecutor(max_workers=min(workers, 1 << n)) as pool:
-            counts = list(pool.map(_count_partition, itertools.repeat(n), tops))
-    total = sum(counts)
+    total = _count(n)
     if n <= MAX_CENSUS_DIM:
         idem, all_reflexive = hall_idempotent_census(n)
     else:

@@ -32,15 +32,12 @@ def random_relation_semigroups(count, max_order=20, seed=20260808):
     return out
 
 
-def brute_hall_count(n, top=None):
-    """Oracle: try every permutation against every matrix (with first row
-    equal to top, when given)."""
+def brute_hall_count(n):
+    """Oracle: try every permutation against every matrix."""
     perms = list(itertools.permutations(range(n)))
     count = 0
     for code in range(1 << (n * n)):
         rows = [(code >> (i * n)) & ((1 << n) - 1) for i in range(n)]
-        if top is not None and rows[0] != top:
-            continue
         if any(all(rows[i] >> p[i] & 1 for i in range(n)) for p in perms):
             count += 1
     return count

@@ -254,7 +254,8 @@ print(json.dumps([m for m in %r if m in sys.modules]))
       ["compose", "hall3.rel", "nonhall3.rel"], ["check-hall", "missing.rel"],
       ["power-group", "--group", "cyclic:x"]], []),
     ([["analyze", "hall2.cay"]], ["numpy"]),
-], ids=["import", "pure-relation-commands", "analyze"])
+    ([["count-hall", "--n", "3", "--workers", "1000000000"], ["campaign", "--n", "1"]], ["numpy"]),
+], ids=["import", "pure-relation-commands", "analyze", "count-in-process"])
 def test_fresh_cli_loads_the_table_engine_only_when_used(argvs, loaded):
     # a subprocess, because this test process already holds numpy
     proc = _fresh_python("-c", LOADED_AFTER, json.dumps(argvs))
@@ -278,14 +279,35 @@ def test_input_error_exit_code(files):
     assert report["witnesses"]
 
 
+def _assert_usage_error(argv, argument):
+    message = _assert_refused(argv)
+    assert argument in message and len(message) < 200
+
+
 def test_unknown_command():
-    report, code = dispatch(["frobnicate"])
-    assert report is None and code == 2
+    _assert_usage_error(["frobnicate"], "argument command")
+    _assert_usage_error(["x" * 5000], "argument command")
 
 
 def test_missing_required_flag():
-    report, code = dispatch(["count-hall"])
-    assert report is None and code == 2
+    _assert_usage_error(["count-hall"], "--n")
+    _assert_usage_error(["count-hall", "--n", "x"], "argument --n")
+    _assert_usage_error(["count-hall", "--n", "7" * 5000], "argument --n")
+    _assert_usage_error(["count-hall", "--n", "3", "--workers", "1" * 5000], "argument --workers")
+    _assert_usage_error(["divide", "s.cay", "t.cay", "--max-generators=y"], "--max-generators")
+    _assert_usage_error(["count-hall", "--n", "3", "--bogus"], "--bogus")
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["count-hall", "--help"]):
+        assert dispatch(argv) == (None, 0)
+        assert "usage: hallkit" in capsys.readouterr().out
+
+
+def test_usage_error_from_the_entry_point():
+    proc = _fresh_python("-m", "hallkit.cli", "count-hall", "--n", "x", "--pretty")
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert proc.stdout == "hallkit: error\n  witness: argument --n: invalid int value: 'x'\n"
 
 
 def test_reports_are_reproducible(files):
@@ -429,16 +451,26 @@ def test_hostile_dimensions_exit_2(case):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(max_value=0))
 def test_hostile_worker_counts_exit_2(workers):
-    # only counts below 1: a large count would start a real process pool
+    # counts above 1 are accepted and only echoed, since the count runs in process
     _assert_refused(["count-hall", "--n", "2", f"--workers={workers}"])
 
 
+INPUT = "<input>"  # stands for the file the text is written to
+SOURCE, TARGET = str(GOLDEN / "semilattice.cay"), str(GOLDEN / "hall2.cay")
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(bad_relmat().map(lambda t: ("check-hall", t)),
-                 bad_cayley().map(lambda t: ("analyze", t))))
+@given(st.one_of(
+    bad_relmat().map(lambda t: (["check-hall", INPUT], t)),
+    bad_cayley().map(lambda t: (["analyze", INPUT], t)),
+    bad_cayley().map(lambda t: (["divide", INPUT, TARGET], t)),
+    bad_cayley().map(lambda t: (["divide", SOURCE, INPUT], t)),
+    # valid files, but a generator bound below 1
+    st.integers(max_value=0).map(lambda g: (["divide", SOURCE, TARGET, f"--max-generators={g}"], "")),
+))
 def test_malformed_files_exit_2(case):
-    command, text = case
+    argv, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.txt"
         path.write_text(text, encoding="utf-8")
-        _assert_refused([command, str(path)])
+        _assert_refused([str(path) if arg == INPUT else arg for arg in argv])
