@@ -2,25 +2,31 @@
 """Census of Hall and reflexive relation counts per ground-set size.
 
 Counts the 0/1 matrices containing a permutation by the transfer-matrix
-method, then recomputes the same number with the independent oracle (Ryser's
-permanent over row multisets) so the two can be compared side by side.
+method, then recomputes the same number with the independent oracle so the
+two can be compared side by side. The oracle runs no matching: it sums
+Ryser's permanent over the column-orbit representatives of the first n-1
+rows (multisets of rows up to a permutation of the columns, each weighted by
+the row sequences it stands for), extended by every nonzero last row.
 
 Usage:
-  python scripts/hall_census.py --max-n 5
+  python scripts/hall_census.py --max-n 6
 """
 
 import argparse
 import time
 
 from hallkit import count_hall, count_hall_inclusion_exclusion, count_reflexive
+from hallkit.enumeration import MAX_COUNT_DIM
 
 
 def main():
     parser = argparse.ArgumentParser(description="Hall relation census")
-    parser.add_argument("--max-n", type=int, default=5, help="largest ground set (default: 5)")
+    parser.add_argument("--max-n", type=int, default=6, help="largest ground set (default: 6)")
     args = parser.parse_args()
+    if not 1 <= args.max_n <= MAX_COUNT_DIM:
+        parser.error(f"--max-n must be between 1 and {MAX_COUNT_DIM}")
 
-    header = f"{'n':>2} {'reflexive':>12} {'hall (count)':>14} {'hall (oracle)':>14} {'agree':>6} {'count s':>9} {'oracle s':>9}"
+    header = f"{'n':>2} {'reflexive':>13} {'hall (count)':>14} {'hall (oracle)':>14} {'agree':>6} {'count s':>9} {'oracle s':>9}"
     print(header)
     print("-" * len(header))
     for n in range(1, args.max_n + 1):
@@ -30,7 +36,7 @@ def main():
         oracle_seconds = time.perf_counter() - t0
         agree = "yes" if oracle == report.total_hall else "NO"
         print(
-            f"{n:>2} {count_reflexive(n):>12,} {report.total_hall:>14,}"
+            f"{n:>2} {count_reflexive(n):>13,} {report.total_hall:>14,}"
             f" {oracle:>14,} {agree:>6} {report.elapsed_seconds:>9.2f} {oracle_seconds:>9.2f}"
         )
         if agree == "NO":

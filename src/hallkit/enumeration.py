@@ -4,8 +4,8 @@ Two independent routes establish every Hall count. count_hall merges all
 2^(n^2) matrices by matching state one row at a time, carrying integer
 multiplicities (the transfer-matrix method). The oracle,
 count_hall_inclusion_exclusion, runs no matching at all: it sums Ryser's
-permanent over the sorted multisets of nonzero rows, each weighted by its
-number of orderings.
+permanent over the column-orbit representatives of the first n-1 rows, each
+weighted by the row sequences it stands for, extended by every last row.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .semigroups import (
     semigroup_of_relations,
 )
 
-MAX_COUNT_DIM = 5
+MAX_COUNT_DIM = 6
 MAX_CENSUS_DIM = 4
 MAX_MATERIALIZE_DIM = 3
 
@@ -153,59 +153,123 @@ def count_hall(n: int, workers: int = 1) -> EnumerationReport:
 
 
 def count_reflexive(n: int) -> int:
-    """Count reflexive matrices by scanning diagonal bits, not by formula."""
+    """Count reflexive matrices by scanning row values, not by formula.
+
+    A matrix is reflexive when each row i has bit i set, and its rows are
+    chosen independently, so the count is the product over i of the number
+    of row values, among all 2^n, with bit i set.
+    """
     if not 1 <= n <= MAX_COUNT_DIM:
         raise ValueError(f"counting supported for 1 <= n <= {MAX_COUNT_DIM}, got {n}")
-    diag = np.uint64(Relation.identity(n).code)
-    total = 0
-    for lo, hi in slabs(1 << (n * n), 1):
-        codes = np.arange(lo, hi, dtype=np.uint64)
-        total += int(np.count_nonzero((codes & diag) == diag))
-    return total
+    return math.prod(sum(v >> i & 1 for v in range(1 << n)) for i in range(n))
+
+
+def _column_images(n):
+    """images[p, v] is row value v with its columns moved by the p-th permutation of S_n."""
+    return np.array(
+        [[sum(1 << p[c] for c in range(n) if v >> c & 1) for v in range(1 << n)]
+         for p in itertools.permutations(range(n))],
+        dtype=np.uint8,
+    )
+
+
+def _canonical_extensions(reps, images, n):
+    """Column-canonical keys, with stabilizer sizes, of reps[a] plus row r for
+    every representative a and nonzero row r, in that order.
+
+    Each permutation's image of a tuple is sorted and packed into one integer,
+    first row highest, so the least key over S_n is the lexicographically
+    least sorted image; the permutations that reach it form the stabilizer.
+    The images of reps are sorted once by a min/max network, and the image of
+    r is then inserted into them by one more comparator per row. Keys take the
+    narrowest unsigned type that holds n bits per row.
+    """
+    cols = [images[:, reps[:, i], None] for i in range(reps.shape[1])]
+    for i in range(1, len(cols)):
+        for j in range(i, 0, -1):
+            lo, hi = cols[j - 1], cols[j]
+            cols[j - 1], cols[j] = np.minimum(lo, hi), np.maximum(lo, hi)
+    carry = images[:, None, 1:]
+    key = np.zeros((images.shape[0], reps.shape[0], images.shape[1] - 1),
+                   dtype=np.min_scalar_type((1 << n * (len(cols) + 1)) - 1))
+    for col in cols:
+        key = key << n | np.minimum(col, carry)
+        carry = np.maximum(col, carry)
+    key = key << n | carry
+    least = key.min(axis=0)
+    return least.ravel(), np.count_nonzero(key == least, axis=0).ravel()
+
+
+def _column_orbits(n):
+    """Column-orbit representatives of the multisets of n-1 nonzero rows, with weights.
+
+    Level k extends every level-(k-1) representative by each nonzero row and
+    keeps the distinct canonical forms. Every k-multiset is a column-permuted
+    representative plus one row, so no orbit is missed. A representative A
+    (sorted rows) weighs the number of ordered row sequences whose multiset
+    lies in its orbit: n!/|Stab(A)| multisets times (n-1)!/prod(mult!) orderings.
+    """
+    size = 1 << n
+    images = _column_images(n)
+    reps = np.zeros((1, 0), dtype=np.int64)
+    stab = np.full(1, math.factorial(n), dtype=np.int64)
+    for k in range(1, n):
+        keys, stabs = [], []
+        for lo, hi in slabs(reps.shape[0], images.shape[0] * (size - 1) * k):
+            key, st = _canonical_extensions(reps[lo:hi], images, n)
+            keys.append(key)
+            stabs.append(st)
+        keys, first = np.unique(np.concatenate(keys), return_index=True)
+        stab = np.concatenate(stabs)[first]
+        fields = [keys >> (n * (k - 1 - i)) & (size - 1) for i in range(k)]
+        reps = np.stack(fields, axis=1).astype(np.int64)
+    weights = math.factorial(n) // stab * math.factorial(n - 1)
+    # rows are sorted within a representative, so run counts the copies of
+    # reps[:, i] among positions 0..i, and its product over i is prod(mult!)
+    run = np.ones(reps.shape[0], dtype=np.int64)
+    for i in range(1, n - 1):
+        run = np.where(reps[:, i] == reps[:, i - 1], run + 1, 1)
+        weights //= run
+    return reps, weights
 
 
 def count_hall_inclusion_exclusion(n: int) -> int:
-    """Independent oracle for count_hall: Ryser's permanent over row multisets.
+    """Independent oracle for count_hall: Ryser's permanent over column orbits.
 
     Ryser's formula is an inclusion-exclusion over column subsets s:
     perm = sum_s (-1)^(n-|s|) prod_i |row_i & s|. The permanent does not
-    change when rows are permuted, so one sweep covers the sorted multisets
-    of n nonzero rows, each weighted by its n!/prod(multiplicity!) orderings;
-    a matrix with a zero row has permanent 0. No matching is ever run.
+    change when rows or columns are permuted, and perm(pA + r) = perm(A + p^-1 r)
+    for a column permutation p. So the first n-1 rows range over the
+    column-orbit representatives A of their multisets, each weighted by the
+    ordered sequences it stands for, and the last row r over every nonzero
+    row: the count is sum_A w_A * #{r : perm(A + r) > 0}. A matrix with a
+    zero row has permanent 0. No matching is ever run.
     """
     if not 1 <= n <= MAX_COUNT_DIM:
         raise ValueError(f"oracle supported for 1 <= n <= {MAX_COUNT_DIM}, got {n}")
+    reps, weights = _column_orbits(n)
     size = 1 << n
-    multisets = math.comb(size + n - 2, n)
-    rows = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(1, size), n)),
-        dtype=np.int64,
-        count=multisets * n,
-    ).reshape(multisets, n)
-    # rows are sorted within a multiset, so run counts the copies of rows[:, i]
-    # among positions 0..i, and its product over i is prod(multiplicity!)
-    orderings = np.full(multisets, math.factorial(n), dtype=np.int64)
-    run = np.ones(multisets, dtype=np.int64)
-    for i in range(1, n):
-        run = np.where(rows[:, i] == rows[:, i - 1], run + 1, 1)
-        orderings //= run
+    subsets = np.arange(size, dtype=np.int64)
     popcount = np.array([s.bit_count() for s in range(size)], dtype=np.int64)
-    permanent = np.zeros(multisets, dtype=np.int64)
-    for s in range(1, size):
-        term = popcount[rows[:, 0] & s]
-        for i in range(1, n):
-            term *= popcount[rows[:, i] & s]
-        if (n - popcount[s]) & 1:
-            permanent -= term
-        else:
-            permanent += term
-    return int(orderings[permanent > 0].sum())
+    sign = np.where((n - popcount) & 1, -1, 1)
+    last = popcount[subsets[:, None] & subsets[1:]]  # last[s, r - 1] = |r & s|
+    total = 0
+    for lo, hi in slabs(reps.shape[0], size):
+        terms = np.tile(sign, (hi - lo, 1))
+        for i in range(n - 1):
+            terms *= popcount[reps[lo:hi, i, None] & subsets]
+        # (terms @ last)[a, r - 1] is the permanent of representative a plus row r
+        total += int(weights[lo:hi] @ np.count_nonzero(terms @ last > 0, axis=1))
+    return total
 
 
 def hall_idempotent_census(n: int):
     """Count idempotent Hall relations and verify they are all reflexive.
 
-    One vectorized sweep squares all 2^(n^2) matrices. A reflexive relation
+    A Hall idempotent e contains some permutation p, so e = e^m contains p^m
+    for every m >= 1, and with m the order of p it contains p^m = id: every
+    Hall idempotent is reflexive. The sweep checks this rather than assuming
+    it. One vectorized sweep squares all 2^(n^2) matrices. A reflexive relation
     contains the identity, so the reflexive idempotents are Hall and are
     counted; the non-reflexive idempotents must all fail the matching test.
     """

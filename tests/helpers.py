@@ -1,5 +1,8 @@
 import itertools
+import math
 import random
+
+import numpy as np
 
 from hallkit import HomomorphismCheck, Relation, compose, semigroup_of_relations
 
@@ -41,6 +44,42 @@ def brute_hall_count(n):
         if any(all(rows[i] >> p[i] & 1 for i in range(n)) for p in perms):
             count += 1
     return count
+
+
+def reference_count_reflexive(n):
+    """Scan all 2^(n^2) matrix codes for the diagonal bits (n <= 4)."""
+    diag = sum(1 << (i * n + i) for i in range(n))
+    return sum(1 for code in range(1 << (n * n)) if code & diag == diag)
+
+
+def reference_multiset_oracle(n):
+    """Ryser's permanent over every sorted multiset of n nonzero rows, each
+    weighted by its n!/prod(multiplicity!) orderings (n <= 5)."""
+    size = 1 << n
+    multisets = math.comb(size + n - 2, n)
+    rows = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(1, size), n)),
+        dtype=np.int64,
+        count=multisets * n,
+    ).reshape(multisets, n)
+    # rows are sorted within a multiset, so run counts the copies of rows[:, i]
+    # among positions 0..i, and its product over i is prod(multiplicity!)
+    orderings = np.full(multisets, math.factorial(n), dtype=np.int64)
+    run = np.ones(multisets, dtype=np.int64)
+    for i in range(1, n):
+        run = np.where(rows[:, i] == rows[:, i - 1], run + 1, 1)
+        orderings //= run
+    popcount = np.array([s.bit_count() for s in range(size)], dtype=np.int64)
+    permanent = np.zeros(multisets, dtype=np.int64)
+    for s in range(1, size):
+        term = popcount[rows[:, 0] & s]
+        for i in range(1, n):
+            term *= popcount[rows[:, i] & s]
+        if (n - popcount[s]) & 1:
+            permanent -= term
+        else:
+            permanent += term
+    return int(orderings[permanent > 0].sum())
 
 
 # Pure-Python references for the array kernels of hallkit.semigroups. They read

@@ -56,26 +56,34 @@ def test_criterion_1_hall_counts():
     t5 = time.perf_counter() - t0
     oracle5 = count_hall_inclusion_exclusion(5)
 
+    stream6 = count_hall(6).total_hall
+    t0 = time.perf_counter()
+    oracle6 = count_hall_inclusion_exclusion(6)
+    t6 = time.perf_counter() - t0
+
     ok = (
         small_ok
         and stream4 == oracle4
         and stream5 == oracle5
+        and stream6 == oracle6 == 54_812_742_655
         and t4 < 5.0
         and t5 < 300.0
+        and t6 <= 20.0
     )
     verdict(
         1,
         ok,
         f"counts 1,7,247 by brute force; n=4 stream {stream4} = oracle ({t4:.2f}s);"
-        f" n=5 stream {stream5} = oracle ({t5:.1f}s)",
+        f" n=5 stream {stream5} = oracle ({t5:.1f}s);"
+        f" n=6 stream {stream6} = oracle ({t6:.1f}s)",
     )
 
 
 def test_criterion_2_reflexive_counts():
-    expected = {1: 1, 2: 4, 3: 64, 4: 4096, 5: 1_048_576}
-    scanned = {n: count_reflexive(n) for n in range(1, 6)}
+    expected = {1: 1, 2: 4, 3: 64, 4: 4096, 5: 1_048_576, 6: 1_073_741_824}
+    scanned = {n: count_reflexive(n) for n in range(1, 7)}
     ok = scanned == expected
-    verdict(2, ok, f"reflexive counts by diagonal scan: {scanned}")
+    verdict(2, ok, f"reflexive counts by row-value scan: {scanned}")
 
 
 def test_criterion_3_hall_idempotents_reflexive():

@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hallkit.cli import dispatch, main, parse_cayley_file, parse_relation_file, render
@@ -204,6 +204,7 @@ GOLDEN_REPORTS = {
     "check-hall-nonhall3": (["check-hall", "nonhall3.rel"], 1),
     "compose-hall3-nonhall3": (["compose", "hall3.rel", "nonhall3.rel"], 0),
     "count-hall-3": (["count-hall", "--n", "3"], 0),
+    "count-hall-6": (["count-hall", "--n", "6"], 0),
     "analyze-hall2": (["analyze", "hall2.cay"], 0),
     "power-group-cyclic4": (["power-group", "--group", "cyclic:4"], 0),
     "power-group-symmetric3": (["power-group", "--group", "symmetric:3"], 0),
@@ -443,6 +444,7 @@ HOSTILE_N = {
 @given(st.sampled_from(sorted(HOSTILE_N)).flatmap(lambda command: st.tuples(
     st.just(command), st.one_of(st.integers(max_value=0),
                                 st.integers(min_value=HOSTILE_N[command] + 1)))))
+@example(("count-hall", MAX_COUNT_DIM + 1))
 def test_hostile_dimensions_exit_2(case):
     command, n = case
     _assert_refused([command, f"--n={n}"])

@@ -1,7 +1,10 @@
+import collections
+import itertools
 import math
+import time
 
 import pytest
-from helpers import brute_hall_count
+from helpers import brute_hall_count, reference_count_reflexive, reference_multiset_oracle
 
 from hallkit import (
     Relation,
@@ -9,15 +12,15 @@ from hallkit import (
     count_hall,
     count_hall_inclusion_exclusion,
     count_reflexive,
+    enumeration,
     hall_idempotent_census,
     is_hall,
     is_reflexive,
     materialize_hall,
     reflexive_relations,
-    relations,
     verification_campaign,
 )
-from hallkit.enumeration import _hall_flags, _rows_of_codes
+from hallkit.enumeration import _column_orbits, _hall_flags, _rows_of_codes
 
 
 def test_small_counts_match_brute_force():
@@ -60,11 +63,10 @@ def test_report_bounds():
         assert report.total_hall >= report.total_reflexive
 
 
-@pytest.mark.parametrize("slab", [7, 1000, relations.SLAB])
-def test_count_reflexive_by_scan(monkeypatch, slab):
-    # neither 7 nor 1000 divides 2^(n^2), so the last slab is a partial one
-    monkeypatch.setattr(relations, "SLAB", slab)
+def test_count_reflexive_by_scan():
     for n in (1, 2, 3, 4):
+        assert count_reflexive(n) == reference_count_reflexive(n) == 1 << (n * (n - 1))
+    for n in (5, 6):
         assert count_reflexive(n) == 1 << (n * (n - 1))
 
 
@@ -76,8 +78,49 @@ def test_worker_invariance_small():
 
 
 def test_oracle_matches_stream():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         assert count_hall_inclusion_exclusion(n) == count_hall(n).total_hall
+
+
+def test_oracle_matches_multiset_sweep():
+    for n in (1, 2, 3, 4, 5):
+        assert count_hall_inclusion_exclusion(n) == reference_multiset_oracle(n)
+
+
+def test_two_methods_agree_at_6():
+    start = time.perf_counter()
+    oracle = count_hall_inclusion_exclusion(6)
+    assert time.perf_counter() - start <= 20
+    assert oracle == count_hall(6).total_hall == 54_812_742_655
+
+
+def test_oracle_runs_no_matching(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not match rows or fold the transfer matrix")
+
+    for name in ("_step", "_reach_masks", "_hall_flags", "_count", "count_hall"):
+        monkeypatch.setattr(enumeration, name, forbidden)
+    assert [count_hall_inclusion_exclusion(n) for n in (1, 2, 3, 4, 5)] == [
+        1, 7, 247, 37823, 23191071]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_weights_count_ordered_row_sequences(n):
+    perms = list(itertools.permutations(range(n)))
+
+    def canonical(rows):
+        return min(tuple(sorted(sum(1 << p[c] for c in range(n) if v >> c & 1) for v in rows))
+                   for p in perms)
+
+    sequences = itertools.product(range(1, 1 << n), repeat=n - 1)
+    groups = collections.Counter(canonical(rows) for rows in sequences)
+    reps, weights = _column_orbits(n)
+    assert dict(zip(map(tuple, reps.tolist()), weights.tolist())) == groups
+
+
+def test_orbit_weights_sum_to_all_row_sequences():
+    for n in (1, 2, 3, 4, 5, 6):
+        assert int(_column_orbits(n)[1].sum()) == ((1 << n) - 1) ** (n - 1)
 
 
 def test_oracle_small_terms():
@@ -91,11 +134,13 @@ def test_range_errors():
     with pytest.raises(ValueError):
         count_hall(0)
     with pytest.raises(ValueError):
-        count_hall(6)
+        count_hall(7)
     with pytest.raises(ValueError):
         count_hall(2, workers=0)
     with pytest.raises(ValueError):
-        count_hall_inclusion_exclusion(6)
+        count_hall_inclusion_exclusion(7)
+    with pytest.raises(ValueError):
+        count_reflexive(7)
     with pytest.raises(ValueError):
         hall_idempotent_census(5)
     with pytest.raises(ValueError):
