@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from hallkit import HomomorphismCheck, Relation, compose, semigroup_of_relations
+from hallkit import HomomorphismCheck, Relation, compose, relations, semigroup_of_relations
 
 
 def random_relation_semigroups(count, max_order=20, seed=20260808):
@@ -47,9 +47,14 @@ def brute_hall_count(n):
 
 
 def reference_count_reflexive(n):
-    """Scan all 2^(n^2) matrix codes for the diagonal bits (n <= 4)."""
-    diag = sum(1 << (i * n + i) for i in range(n))
-    return sum(1 for code in range(1 << (n * n)) if code & diag == diag)
+    """Scan all 2^(n^2) matrix codes for the diagonal bits (n <= 4), one
+    row range of relations.slabs at a time."""
+    diag = np.uint64(sum(1 << (i * n + i) for i in range(n)))
+    total = 0
+    for lo, hi in relations.slabs(1 << (n * n), 1):
+        codes = np.arange(lo, hi, dtype=np.uint64)
+        total += int(np.count_nonzero(codes & diag == diag))
+    return total
 
 
 def reference_multiset_oracle(n):

@@ -18,6 +18,7 @@ from hallkit import (
     is_reflexive,
     materialize_hall,
     reflexive_relations,
+    relations,
     verification_campaign,
 )
 from hallkit.enumeration import _column_orbits, _hall_flags, _rows_of_codes
@@ -63,7 +64,10 @@ def test_report_bounds():
         assert report.total_hall >= report.total_reflexive
 
 
-def test_count_reflexive_by_scan():
+@pytest.mark.parametrize("slab", [7, 1000, relations.SLAB])
+def test_count_reflexive_by_scan(monkeypatch, slab):
+    # neither 7 nor 1000 divides 2^(n^2), so the reference scan ends on a partial slab
+    monkeypatch.setattr(relations, "SLAB", slab)
     for n in (1, 2, 3, 4):
         assert count_reflexive(n) == reference_count_reflexive(n) == 1 << (n * (n - 1))
     for n in (5, 6):
