@@ -1,8 +1,8 @@
 """Finite-semigroup toolkit for reflexive and Hall relation monoids.
 
 Package exports are lazy: ``hallkit.<name>`` imports the submodule that
-defines the name on first use (PEP 562), so ``import hallkit`` alone loads
-neither numpy nor the process pool. The pure-relation layer
+defines the name on first use (PEP 562), so ``import hallkit`` alone does not
+load numpy. The pure-relation layer
 (``hallkit.relations``) needs no numpy until a batched product is asked for.
 Names are looked up in their submodule on every access, never copied here, so
 rebinding a submodule attribute is seen through ``hallkit.<name>`` too.

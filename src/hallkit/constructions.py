@@ -30,7 +30,7 @@ from .relations import (
     slabs,
     union_product,
 )
-from .semigroups import (MAX_TABLE_SIZE, FiniteSemigroup, check_homomorphism,
+from .semigroups import (MAX_TABLE_SIZE, FiniteSemigroup, _first_break, check_homomorphism,
                          semigroup_of_relations, validate_table)
 
 MAX_ACTION_DEGREE = 3
@@ -127,16 +127,11 @@ def _check_subset_count(k: int) -> None:
         raise ValueError(f"2^{k} - 1 nonempty subsets exceed the table cap {MAX_TABLE_SIZE}")
 
 
-def _translates(s: FiniteSemigroup, right):
-    """out[a, q] is the bitmask of a * right[q] in s: the union of the bits a*b."""
-    bit = np.left_shift(np.uint64(1), s.table.astype(np.uint64))
-    return union_product(right, bit.T).T
-
-
 def _subset_products(s: FiniteSemigroup, left, right):
     """out[p, q] is the bitmask of left[p] * right[q] in s: the union of the
-    translates a * right[q] over a in left[p]."""
-    return union_product(left, _translates(s, right))
+    translates a * right[q] over a in left[p], each the union of the bits a*b."""
+    bit = np.left_shift(np.uint64(1), s.table.astype(np.uint64))
+    return union_product(left, union_product(right, bit.T).T)
 
 
 def power_semigroup(s: FiniteSemigroup):
@@ -181,26 +176,30 @@ def hall_embedding(group: FiniteGroup) -> dict[int, Relation]:
 
 
 def check_pairs_embedding(group: FiniteGroup, table: dict[int, Relation]):
-    """Verify the subset-to-relation map is one-to-one and respects products.
-
-    Compares the relation product of images with the image of the subset
-    product over all ordered pairs of nonempty subsets, a slab of left subsets
-    at a time, to the first bad slab. Returns (injective, multiplicative, pairs_checked).
-    """
+    """Is the subset-to-relation map one-to-one, and multiplicative on a greedy generating set
+    (by _first_break, with no power semigroup table; a product outside the keys fails)? Returns
+    (injective, multiplicative, pairs_checked): the k^2 key pairs covered, not products formed."""
     keys = sorted(table)
     injective = len(set(table.values())) == len(keys)
     masks = np.array(keys, dtype=np.uint64)
     images = np.array([table[m].rows for m in keys], dtype=np.uint64)
-    translate = _translates(group.base, masks)
-    for lo, hi in slabs(len(keys), images.size):
-        products = union_product(masks[lo:hi], translate)
+    rows = np.sort(images, axis=None)  # the distinct rows, each multiplied once per generator
+    rows = np.delete(rows, np.flatnonzero(rows[1:] == rows[:-1]))  # np.unique imports numpy.ma
+    row_at = np.searchsorted(rows, images)
+    escapes = []  # per generator x: is some y * x outside the keys? If none is, the keys are closed
+
+    def column(x):
+        products = _subset_products(group.base, masks, masks[x, None])[:, 0]
         at = np.minimum(np.searchsorted(masks, products), len(keys) - 1)
-        # composed[x, :, y] holds the rows of image(x) * image(y)
-        composed = union_product(images[lo:hi], images.T)
-        if not (np.array_equal(masks[at], products)
-                and np.array_equal(composed, images[at].transpose(0, 2, 1))):
-            return injective, False, len(keys) ** 2
-    return injective, True, len(keys) ** 2
+        escapes.append(not np.array_equal(masks[at], products))
+        return at
+
+    def agrees(g, xg):
+        composed = union_product(rows, images[g, :, None])[row_at, 0]  # image(x) * image(g)
+        return (images[xg] == composed).all(axis=1)
+
+    multiplicative = _first_break(len(keys), column, agrees) is None and not any(escapes)
+    return injective, multiplicative, len(keys) ** 2
 
 
 def validate_action(action: GroupAction) -> None:
@@ -213,21 +212,15 @@ def validate_action(action: GroupAction) -> None:
             raise ValueError(f"map of {g.labels[gi]} is not a permutation of the target")
         check = check_homomorphism(amap, m, m)
         if not check.is_homomorphism:
-            x, y = check.failure_pair
-            raise ValueError(
-                f"map of {g.labels[gi]} is not an automorphism:"
-                f" breaks at ({m.labels[x]}, {m.labels[y]})"
-            )
+            x, y = (m.labels[i] for i in check.failure_pair)
+            raise ValueError(f"map of {g.labels[gi]} is not an automorphism: breaks at ({x}, {y})")
     acts = np.array(action.maps)
-    for a in range(g.size):
-        # row b: maps[a*b] against maps[a] o maps[b]
-        bad = np.flatnonzero((acts[g.base.table[a]] != acts[a][acts]).any(axis=1))
-        if bad.size:
-            b = int(bad[0])
-            raise ValueError(
-                f"action is not a left action: maps[{g.labels[a]}*{g.labels[b]}]"
-                f" differs from maps[{g.labels[a]}] o maps[{g.labels[b]}]"
-            )
+    pair = _first_break(g.size, lambda b: g.base.table[:, b],  # maps[a*b] vs maps[a] o maps[b]
+                        lambda b, ab: (acts[ab] == acts[:, acts[b]]).all(axis=1))
+    if pair is not None:
+        a, b = (g.labels[i] for i in pair)
+        raise ValueError(f"action is not a left action: maps[{a}*{b}]"
+                         f" differs from maps[{a}] o maps[{b}]")
 
 
 def conjugation_action(n: int) -> GroupAction:

@@ -85,11 +85,11 @@ def _find_identity(t) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def _reach(t, gens, reached, cand):
+def _reach(right, reached, cand):
     """Mark in reached all that cand reaches in the right Cayley graph y -> y*a,
-    a in gens, a slab at a time. Duplicates go through the slot array, not
-    np.unique, whose first call costs more than a whole pick on small tables."""
-    slot = np.zeros(len(t), dtype=np.intp)
+    right[j, y] = y*gens[j], a slab at a time. Duplicates go through the slot
+    array, not np.unique, whose first call costs more than a whole pick on small tables."""
+    slot = np.zeros(len(reached), dtype=np.intp)
     todo = []
     while True:
         cand = cand[~reached[cand]]
@@ -97,26 +97,36 @@ def _reach(t, gens, reached, cand):
         slot[cand] = order
         fresh = cand[slot[cand] == order]
         reached[fresh] = True
-        todo += [fresh[lo:hi] for lo, hi in slabs(fresh.size, len(gens))]
+        todo += [fresh[lo:hi] for lo, hi in slabs(fresh.size, len(right))]
         if not todo:
             return
-        cand = t[np.ix_(todo.pop(), gens)].ravel()
+        cand = right[:, todo.pop()].ravel()
 
 
-def _generators(t) -> np.ndarray:
-    """A generating set, picked greedily in index order, in O(k*|A|).
-
-    x joins when the right Cayley graph of the earlier generators has not
-    reached it, so every element is a left-normed product of generators.
-    """
-    reached = np.zeros(len(t), dtype=bool)
-    gens = []
-    for x in range(len(t)):
+def _generators(k, column):
+    """A generating set, picked greedily in index order, and its right Cayley graph right[j, y] =
+    y*gens[j], in O(k*|A|); column(x) = [y*x for every y] is asked once per generator. x joins
+    when the graph of the earlier generators misses it, so all are left-normed products of them."""
+    reached = np.zeros(k, dtype=bool)
+    gens, right = [], np.empty((1, k), dtype=np.min_scalar_type(k))  # the narrowest index type
+    for x in range(k):
         if not reached[x]:
+            if len(gens) == len(right):  # doubled, so the columns stay in one array
+                right = np.resize(right, (min(2 * len(right), k), k))
+            right[len(gens)] = column(x)
             gens.append(x)
             # x itself and the products y*x of the elements already reached
-            _reach(t, gens, reached, np.append(t[reached, x], x))
-    return np.array(gens)
+            _reach(right[:len(gens)], reached, np.append(right[len(gens) - 1][reached], x))
+    return np.array(gens, dtype=np.intp), right[:len(gens)]
+
+
+def _first_break(k, column, agrees):
+    """The first (x, g) by x, then by pick order, with g a generator of _generators(k, column)
+    and agrees(g, right[j])[x] False; or None. A map that sends every such x*g to the product of
+    the images is a homomorphism, by induction on m for x*(g1...gm) = (...(x*g1)...)*gm."""
+    bad = ((int(np.argmin(ok)), int(g)) for g, xg in zip(*_generators(k, column))
+           if not (ok := agrees(g, xg)).all())
+    return min(bad, default=None)  # generators ascend, so a tie on x goes to the first picked
 
 
 def _check_associative(t, labels):
@@ -133,7 +143,7 @@ def _check_associative(t, labels):
     so if those all pass, x passes too. Its first bad (y, z) is thus the
     lexicographically first bad triple.
     """
-    xs = _generators(t)
+    xs = _generators(len(t), lambda x: t[:, x])[0]
     for lo, hi in slabs(len(xs), t.size):  # a generator row x spans k x k pairs (y, z)
         sub = t[xs[lo:hi]]
         left = t[sub, :]          # (x*y)*z
@@ -275,7 +285,7 @@ def subsemigroup_closure(s: FiniteSemigroup, generators):
         if not 0 <= g < s.size:
             raise ValueError(f"generator index {g} out of range")
     reached = np.zeros(s.size, dtype=bool)  # products of generators, by the right Cayley graph
-    _reach(s.table, gens, reached, np.array(gens))
+    _reach(s.table[:, gens].T, reached, np.array(gens))
     parent = np.flatnonzero(reached)
     back = np.cumsum(reached) - 1
     table = back[s.table[np.ix_(parent, parent)]]
@@ -292,7 +302,7 @@ def idempotent_generated(s: FiniteSemigroup) -> FiniteSemigroup:
 
 
 def check_homomorphism(mapping, s: FiniteSemigroup, t: FiniteSemigroup) -> HomomorphismCheck:
-    """Does mapping send products to products? Also reports injectivity/surjectivity."""
+    """Does mapping send products to products (by _first_break)? Also injectivity, surjectivity."""
     mapping = tuple(mapping)
     if len(mapping) != s.size:
         raise ValueError(f"mapping must assign all {s.size} elements")
@@ -300,12 +310,9 @@ def check_homomorphism(mapping, s: FiniteSemigroup, t: FiniteSemigroup) -> Homom
         if not 0 <= v < t.size:
             raise ValueError(f"mapping value {v} out of range for the target")
     f = np.array(mapping, dtype=np.intp)
-    for lo, hi in slabs(s.size, s.size):
-        # f(xy) against f(x)f(y) for a slab of rows x, in row-major order
-        bad = f[s.table[lo:hi]] != t.table[f[lo:hi, None], f]
-        if bad.any():
-            x, y = np.argwhere(bad)[0]
-            return HomomorphismCheck(False, False, False, (lo + int(x), int(y)))
+    pair = _first_break(s.size, lambda x: s.table[:, x], lambda g, xg: f[xg] == t.table[f, f[g]])
+    if pair is not None:
+        return HomomorphismCheck(False, False, False, pair)
     image = set(mapping)
     return HomomorphismCheck(True, len(image) == s.size, len(image) == t.size)
 

@@ -103,6 +103,29 @@ def reference_check_homomorphism(mapping, s, t):
     return HomomorphismCheck(True, len(image) == s.size, len(image) == t.size)
 
 
+def right_closure(table, gens):
+    """Oracle: every left-normed product of gens, by search on the right Cayley graph."""
+    seen, todo = set(gens), list(gens)
+    while todo:
+        x = todo.pop()
+        for a in gens:
+            if table[x][a] not in seen:
+                seen.add(table[x][a])
+                todo.append(table[x][a])
+    return seen
+
+
+def reference_generators(table):
+    """The greedy pick in index order: x joins unless it is a left-normed
+    product of the generators picked before it."""
+    gens, reached = [], set()
+    for x in range(len(table)):
+        if x not in reached:
+            gens.append(x)
+            reached = right_closure(table, gens)
+    return gens
+
+
 def reference_is_block_group(s):
     """Pairs of distinct idempotents with ef=e & fe=f first, then ef=f & fe=e."""
     t = s.table.tolist()
@@ -138,3 +161,25 @@ def reference_subsemigroup_closure(s, generators):
     parent = tuple(sorted(seen))
     back = {p: i for i, p in enumerate(parent)}
     return parent, [[back[t[a][b]] for b in parent] for a in parent]
+
+
+def reference_check_pairs_embedding(group, table):
+    """Every ordered pair (p, q) of keys: the subset product pq, formed by loops
+    over the group table, must be a key whose image is the relation product of
+    the images of p and q. Returns (injective, multiplicative, pairs)."""
+    mul = group.base.table.tolist()
+
+    def product(p, q):
+        out = 0
+        for a in range(group.size):
+            for b in range(group.size):
+                if p >> a & 1 and q >> b & 1:
+                    out |= 1 << mul[a][b]
+        return out
+
+    keys = sorted(table)
+    multiplicative = all(
+        product(p, q) in table and table[product(p, q)] == compose(table[p], table[q])
+        for p in keys for q in keys
+    )
+    return len(set(table.values())) == len(keys), multiplicative, len(keys) ** 2

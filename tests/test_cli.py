@@ -209,6 +209,7 @@ GOLDEN_REPORTS = {
     "power-group-cyclic4": (["power-group", "--group", "cyclic:4"], 0),
     "power-group-symmetric3": (["power-group", "--group", "symmetric:3"], 0),
     "embed-cyclic3": (["embed", "--group", "cyclic:3"], 0),
+    "embed-cyclic12": (["embed", "--group", "cyclic:12"], 0),
     "semidirect-2": (["semidirect", "--n", "2"], 0),
     "campaign-2": (["campaign", "--n", "2"], 0),
     "divide-semilattice-hall2": (["divide", "semilattice.cay", "hall2.cay"], 0),

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import reference_check_pairs_embedding, reference_generators
 
 import hallkit as hk
 from hallkit import relations
@@ -211,7 +212,7 @@ def test_embedding_z3_injective_and_multiplicative():
 
 @pytest.mark.parametrize("slab", [1, relations.SLAB])
 def test_embedding_check_reports_failures(monkeypatch, slab):
-    monkeypatch.setattr(relations, "SLAB", slab)  # slab=1: one left subset per slab
+    monkeypatch.setattr(relations, "SLAB", slab)  # slab=1: one element per step of the pick
     g = cyclic_group(3)
     table = hall_embedding(g)
     assert check_pairs_embedding(g, table) == (True, True, 49)
@@ -223,6 +224,44 @@ def test_embedding_check_reports_failures(monkeypatch, slab):
     injective, _, pairs = check_pairs_embedding(g, shared)
     assert not injective and pairs == 49
     assert check_pairs_embedding(g, {}) == (True, True, 0)
+    # in Z2, {a}{a} = {e} is no key, though the images below multiply consistently
+    escaped = {2: Relation.identity(2), 3: Relation.full(2)}
+    assert check_pairs_embedding(cyclic_group(2), escaped) == (True, False, 4)
+    assert reference_check_pairs_embedding(cyclic_group(2), escaped) == (True, False, 4)
+    # seeded perturbations, each against the all-pairs reference
+    rng = random.Random(5)
+    for g in [cyclic_group(m) for m in range(2, 7)] + [symmetric_group_table(3)]:
+        table = hall_embedding(g)
+        keys = sorted(table)
+        cases = [table, {}, {m: r for m, r in table.items() if m != keys[-1]}]
+        for _ in range(2):
+            p, q = rng.sample(keys, 2)
+            swapped, shared = dict(table), dict(table)
+            swapped[p], swapped[q] = table[q], table[p]
+            shared[p] = table[q]
+            cases += [swapped, shared, {m: r for m, r in table.items() if m != p}]
+        for case in cases:
+            assert check_pairs_embedding(g, case) == reference_check_pairs_embedding(g, case)
+
+
+def test_checks_find_a_break_off_the_generators():
+    # a true homomorphism changed at one element outside the 8 greedy generators
+    # of P(Z6): the law is checked on generators only, so the induction must find it
+    g = cyclic_group(6)
+    power, masks = power_semigroup(g.base)
+    gens = reference_generators(power.table.tolist())
+    assert len(gens) == 8
+    table = hall_embedding(g)
+    for x in range(power.size):
+        if x in gens:
+            continue
+        other = (x + 1) % power.size
+        mapping = list(range(power.size))
+        mapping[x] = other
+        assert not hk.check_homomorphism(mapping, power, power).is_homomorphism
+        changed = dict(table)
+        changed[masks[x]] = table[masks[other]]
+        assert not check_pairs_embedding(g, changed)[1]
 
 
 def test_embedding_catalog_orders_2_to_6():

@@ -5,8 +5,10 @@ import pytest
 from helpers import (
     random_relation_semigroups,
     reference_check_homomorphism,
+    reference_generators,
     reference_is_block_group,
     reference_subsemigroup_closure,
+    right_closure,
 )
 
 from hallkit import relations, semigroups
@@ -65,16 +67,10 @@ def first_bad_triple(table):
     )
 
 
-def right_closure(table, gens):
-    """Oracle: every left-normed product of gens, by search on the right Cayley graph."""
-    seen, todo = set(gens), list(gens)
-    while todo:
-        x = todo.pop()
-        for a in gens:
-            if table[x][a] not in seen:
-                seen.add(table[x][a])
-                todo.append(table[x][a])
-    return seen
+def greedy_generators(table):
+    """The generators that semigroups._generators picks, reading the table's columns."""
+    t = np.asarray(table)
+    return semigroups._generators(len(t), lambda x: t[:, x])[0].tolist()
 
 
 # validate_table
@@ -112,13 +108,15 @@ def test_greedy_generators_reach_every_element(hall3):
     ps = power_semigroup(cyclic_group(6).base)[0]
     catalog = [ps, hall3[0], Z3, SEMILATTICE] + random_relation_semigroups(10)
     for semi in catalog:
-        gens = semigroups._generators(np.asarray(semi.table)).tolist()
-        assert gens == sorted(set(gens))
+        gens = greedy_generators(semi.table)
+        assert gens == sorted(set(gens)) == reference_generators(semi.table.tolist())
         assert right_closure(semi.table, gens) == set(range(semi.size))
+        t = semi.table  # and the right Cayley graph comes back with the generators
+        assert np.array_equal(semigroups._generators(semi.size, lambda x: t[:, x])[1], t[:, gens].T)
         # greedy in index order: no generator is a product of the earlier ones
         for i, g in enumerate(gens):
             assert i == 0 or g not in right_closure(semi.table, gens[:i])
-    assert len(semigroups._generators(np.asarray(ps.table))) == 8
+    assert len(greedy_generators(ps.table)) == 8
 
 
 @pytest.mark.parametrize("slab", [1, relations.SLAB])
@@ -129,7 +127,7 @@ def test_validate_perturbed_power_semigroup_rows_off_the_generators(monkeypatch,
     monkeypatch.setattr(relations, "SLAB", slab)
     ps = power_semigroup(cyclic_group(6).base)[0]
     k = ps.size
-    gens = set(semigroups._generators(np.asarray(ps.table)).tolist())
+    gens = set(greedy_generators(ps.table))
     rng = random.Random(2)
     cells = rng.sample([(r, c) for r in range(k) if r not in gens for c in range(k)], 12)
     for r, c in cells:
@@ -149,7 +147,7 @@ def test_validate_left_zero_band_every_element_a_generator():
     # xy = x: no element is a product of others, so Light's test sweeps every row
     k = 40
     table = [[x] * k for x in range(k)]
-    assert semigroups._generators(np.asarray(table)).tolist() == list(range(k))
+    assert greedy_generators(table) == list(range(k))
     semi = validate_table([str(i) for i in range(k)], table)
     assert semi.identity is None
     table[k - 1][0] = 0  # breaks only the last row: (39*1)*0 = 0 but 39*(1*0) = 39
@@ -221,9 +219,17 @@ def test_array_kernels_match_references(monkeypatch, slab, hall3, refl3, full2):
             for _ in range(rng.randint(0, 2)):
                 mapping[rng.randrange(semi.size)] = rng.randrange(semi.size)
             maps.append(mapping)
+        t, gens = semi.table.tolist(), reference_generators(semi.table.tolist())
         for mapping in maps:
-            assert (check_homomorphism(mapping, semi, semi)
-                    == reference_check_homomorphism(mapping, semi, semi))
+            got = check_homomorphism(mapping, semi, semi)
+            want = reference_check_homomorphism(mapping, semi, semi)
+            assert got.is_homomorphism == want.is_homomorphism
+            assert (got.injective, got.surjective) == (want.injective, want.surjective)
+            # the reported pair is the first (x, g), g a generator, x first and
+            # then g in pick order, where the map breaks the product law
+            breaks = [(x, g) for x in range(semi.size) for g in gens
+                      if mapping[t[x][g]] != t[mapping[x]][mapping[g]]]
+            assert got.failure_pair == (breaks[0] if breaks else None)
 
 
 # adjoin_identity
