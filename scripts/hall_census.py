@@ -3,10 +3,12 @@
 
 Counts the 0/1 matrices containing a permutation by the transfer-matrix
 method, then recomputes the same number with the independent oracle so the
-two can be compared side by side. The oracle runs no matching: it sums
-Ryser's permanent over the column-orbit representatives of the first n-1
-rows (multisets of rows up to a permutation of the columns, each weighted by
-the row sequences it stands for), extended by every nonzero last row.
+two can be compared side by side. The oracle runs no matching: it expands
+the permanent along the last two rows. The first n-2 rows range over their
+column-orbit representatives (multisets of rows up to a permutation of the
+columns, each weighted by the row sequences it stands for); Ryser's formula
+gives each one's permanent with any two columns deleted, and these count the
+pairs of last rows that complete a Hall matrix.
 
 Usage:
   python scripts/hall_census.py --max-n 6

@@ -22,6 +22,7 @@ import time
 # start a fresh process without numpy.
 from .relations import (
     Relation,
+    check_count_dim,
     compose,
     emit_relmat,
     is_hall,
@@ -207,6 +208,7 @@ def _worker_count(args):
 
 
 def _cmd_count_hall(args):
+    check_count_dim(args.n)  # an n out of range is refused before numpy loads
     from . import enumeration
 
     report = enumeration.count_hall(args.n, _worker_count(args))

@@ -3,9 +3,12 @@
 Two independent routes establish every Hall count. count_hall merges all
 2^(n^2) matrices by matching state one row at a time, carrying integer
 multiplicities (the transfer-matrix method). The oracle,
-count_hall_inclusion_exclusion, runs no matching at all: it sums Ryser's
-permanent over the column-orbit representatives of the first n-1 rows, each
-weighted by the row sequences it stands for, extended by every last row.
+count_hall_inclusion_exclusion, runs no matching at all: it expands the
+permanent along the last two rows, so column orbits are needed for the first
+n-2 rows only. Over the column-orbit representatives of those rows, each
+weighted by the row sequences it stands for, Ryser's formula gives the
+permanent with every pair of columns deleted, and these decide which last two
+rows complete a Hall matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from .constructions import (
     semidirect_product,
 )
 from .relations import (
+    MAX_COUNT_DIM,
     Relation,
+    check_count_dim,
     hall_relations,
     permutations_lex,
     reflexive_relations,
@@ -43,7 +48,6 @@ from .semigroups import (
     semigroup_of_relations,
 )
 
-MAX_COUNT_DIM = 6
 MAX_CENSUS_DIM = 4
 MAX_MATERIALIZE_DIM = 3
 
@@ -131,8 +135,7 @@ def count_hall(n: int, workers: int = 1) -> EnumerationReport:
     The count always runs in this process; workers is only checked and echoed
     as worker_count, so the count does not depend on it.
     """
-    if not 1 <= n <= MAX_COUNT_DIM:
-        raise ValueError(f"counting supported for 1 <= n <= {MAX_COUNT_DIM}, got {n}")
+    check_count_dim(n)
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     start = time.perf_counter()
@@ -159,18 +162,16 @@ def count_reflexive(n: int) -> int:
     chosen independently, so the count is the product over i of the number
     of row values, among all 2^n, with bit i set.
     """
-    if not 1 <= n <= MAX_COUNT_DIM:
-        raise ValueError(f"counting supported for 1 <= n <= {MAX_COUNT_DIM}, got {n}")
+    check_count_dim(n)
     return math.prod(sum(v >> i & 1 for v in range(1 << n)) for i in range(n))
 
 
 def _column_images(n):
     """images[p, v] is row value v with its columns moved by the p-th permutation of S_n."""
-    return np.array(
-        [[sum(1 << p[c] for c in range(n) if v >> c & 1) for v in range(1 << n)]
-         for p in itertools.permutations(range(n))],
-        dtype=np.uint8,
-    )
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+    bits = (np.arange(1 << n, dtype=np.uint8)[:, None] >> np.arange(n, dtype=np.uint8)) & 1
+    # bit c of v moves to bit p[c]; the moved bits are distinct, so their sum is the image
+    return (bits << perms[:, None, :]).sum(axis=2, dtype=np.uint8)
 
 
 def _canonical_extensions(reps, images, n):
@@ -200,20 +201,20 @@ def _canonical_extensions(reps, images, n):
     return least.ravel(), np.count_nonzero(key == least, axis=0).ravel()
 
 
-def _column_orbits(n):
-    """Column-orbit representatives of the multisets of n-1 nonzero rows, with weights.
+def _column_orbits(n, m):
+    """Column-orbit representatives of the multisets of m nonzero rows of width n, with weights.
 
     Level k extends every level-(k-1) representative by each nonzero row and
     keeps the distinct canonical forms. Every k-multiset is a column-permuted
     representative plus one row, so no orbit is missed. A representative A
     (sorted rows) weighs the number of ordered row sequences whose multiset
-    lies in its orbit: n!/|Stab(A)| multisets times (n-1)!/prod(mult!) orderings.
+    lies in its orbit: n!/|Stab(A)| multisets times m!/prod(mult!) orderings.
     """
     size = 1 << n
     images = _column_images(n)
     reps = np.zeros((1, 0), dtype=np.int64)
     stab = np.full(1, math.factorial(n), dtype=np.int64)
-    for k in range(1, n):
+    for k in range(1, m + 1):
         keys, stabs = [], []
         for lo, hi in slabs(reps.shape[0], images.shape[0] * (size - 1) * k):
             key, st = _canonical_extensions(reps[lo:hi], images, n)
@@ -223,43 +224,77 @@ def _column_orbits(n):
         stab = np.concatenate(stabs)[first]
         fields = [keys >> (n * (k - 1 - i)) & (size - 1) for i in range(k)]
         reps = np.stack(fields, axis=1).astype(np.int64)
-    weights = math.factorial(n) // stab * math.factorial(n - 1)
+    weights = math.factorial(n) // stab * math.factorial(m)
     # rows are sorted within a representative, so run counts the copies of
     # reps[:, i] among positions 0..i, and its product over i is prod(mult!)
     run = np.ones(reps.shape[0], dtype=np.int64)
-    for i in range(1, n - 1):
+    for i in range(1, m):
         run = np.where(reps[:, i] == reps[:, i - 1], run + 1, 1)
         weights //= run
     return reps, weights
 
 
-def count_hall_inclusion_exclusion(n: int) -> int:
-    """Independent oracle for count_hall: Ryser's permanent over column orbits.
+def _popcounts(n):
+    return np.array([v.bit_count() for v in range(1 << n)], dtype=np.int64)
 
-    Ryser's formula is an inclusion-exclusion over column subsets s:
-    perm = sum_s (-1)^(n-|s|) prod_i |row_i & s|. The permanent does not
-    change when rows or columns are permuted, and perm(pA + r) = perm(A + p^-1 r)
-    for a column permutation p. So the first n-1 rows range over the
-    column-orbit representatives A of their multisets, each weighted by the
-    ordered sequences it stands for, and the last row r over every nonzero
-    row: the count is sum_A w_A * #{r : perm(A + r) > 0}. A matrix with a
-    zero row has permanent 0. No matching is ever run.
+
+def _pair_permanents(reps, n):
+    """pair[a, j] = perm(reps[a] - {c, d}) for the j-th pair c < d of
+    itertools.combinations(range(n), 2), where reps holds n-2 rows per matrix.
+
+    Ryser's formula for the square matrix left after deleting columns c and d
+    sums the same signed terms (-1)^(n-|s|) prod_i |row_i & s| as for all n
+    columns, over the subsets s that miss both c and d. So one matrix product
+    of every subset's term with avoid[s, j] = [s misses pair j] gives them all.
+    """
+    subsets = np.arange(1 << n, dtype=np.int64)
+    popcount = _popcounts(n)
+    terms = np.tile(np.where((n - popcount) & 1, -1, 1), (reps.shape[0], 1))
+    for i in range(reps.shape[1]):
+        terms *= popcount[reps[:, i, None] & subsets]
+    pairs = np.array([1 << c | 1 << d for c, d in itertools.combinations(range(n), 2)])
+    return terms @ (subsets[:, None] & pairs == 0).astype(np.int64)
+
+
+def count_hall_inclusion_exclusion(n: int) -> int:
+    """Independent oracle for count_hall: a two-row Laplace expansion of
+    Ryser's permanent over column orbits.
+
+    Expanding the permanent along its last two rows r and s gives
+    perm(A + r + s) = sum perm(A - {c, d}) over c in r, d in s, c != d, where
+    A - {c, d} is the first n-2 rows A without columns c and d. Every term is
+    at least 0, so perm(A + r + s) > 0 iff s meets N_A(r), the union over c in
+    r of adj_A[c] = {d : perm(A - {c, d}) > 0}; that holds for
+    2^n - 2^(n - |N_A(r)|) rows s. The count of A is unchanged when its rows or
+    columns are permuted, since r and s range over every row. So A ranges over
+    the column-orbit representatives of the multisets of n-2 rows, each
+    weighted by the ordered sequences it stands for: the count is
+    sum_A w_A * sum_r (2^n - 2^(n - |N_A(r)|)). Pair permanents come from
+    Ryser's inclusion-exclusion (_pair_permanents). The rows of A are nonzero,
+    and a zero r or s meets nothing, so no matrix with a zero row is counted.
+    No matching is ever run.
     """
     if not 1 <= n <= MAX_COUNT_DIM:
         raise ValueError(f"oracle supported for 1 <= n <= {MAX_COUNT_DIM}, got {n}")
-    reps, weights = _column_orbits(n)
+    if n == 1:
+        return 1  # the 1x1 matrix [1]; there are no two rows to expand along
+    reps, weights = _column_orbits(n, n - 2)
     size = 1 << n
-    subsets = np.arange(size, dtype=np.int64)
-    popcount = np.array([s.bit_count() for s in range(size)], dtype=np.int64)
-    sign = np.where((n - popcount) & 1, -1, 1)
-    last = popcount[subsets[:, None] & subsets[1:]]  # last[s, r - 1] = |r & s|
+    popcount = _popcounts(n)
     total = 0
     for lo, hi in slabs(reps.shape[0], size):
-        terms = np.tile(sign, (hi - lo, 1))
-        for i in range(n - 1):
-            terms *= popcount[reps[lo:hi, i, None] & subsets]
-        # (terms @ last)[a, r - 1] is the permanent of representative a plus row r
-        total += int(weights[lo:hi] @ np.count_nonzero(terms @ last > 0, axis=1))
+        positive = _pair_permanents(reps[lo:hi], n) > 0
+        adj = np.zeros((hi - lo, n), dtype=np.int64)
+        for j, (c, d) in enumerate(itertools.combinations(range(n), 2)):
+            adj[:, c] |= positive[:, j].astype(np.int64) << d
+            adj[:, d] |= positive[:, j].astype(np.int64) << c
+        # reach[a, r] = N_A(r), doubled one column at a time: r with top bit c
+        # adds adj[c] to the reach of r without it
+        reach = np.zeros((hi - lo, size), dtype=np.int64)
+        for c in range(n):
+            reach[:, 1 << c:2 << c] = reach[:, :1 << c] | adj[:, c, None]
+        meets = size - (1 << (n - popcount[reach]))
+        total += int(weights[lo:hi] @ meets.sum(axis=1))
     return total
 
 

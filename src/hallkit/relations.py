@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 MAX_DIM = 64
 PERMANENT_MAX_DIM = 12
+MAX_COUNT_DIM = 6  # Hall and reflexive counts, by both methods
 SLAB = 1 << 18  # cells per slab: the one working-set budget, read only by slabs
 
 
@@ -138,6 +139,12 @@ def compose(r: Relation, s: Relation) -> Relation:
             acc |= s.rows[z]
         out.append(acc)
     return Relation(r.dim, tuple(out))
+
+
+def check_count_dim(n: int) -> None:
+    """Refuse a count outside 1..MAX_COUNT_DIM; needs no numpy, so it can run first."""
+    if not 1 <= n <= MAX_COUNT_DIM:
+        raise ValueError(f"counting supported for 1 <= n <= {MAX_COUNT_DIM}, got {n}")
 
 
 def slabs(count, width):

@@ -120,11 +120,12 @@ def _generators(k, column):
     return np.array(gens, dtype=np.intp), right[:len(gens)]
 
 
-def _first_break(k, column, agrees):
-    """The first (x, g) by x, then by pick order, with g a generator of _generators(k, column)
-    and agrees(g, right[j])[x] False; or None. A map that sends every such x*g to the product of
-    the images is a homomorphism, by induction on m for x*(g1...gm) = (...(x*g1)...)*gm."""
-    bad = ((int(np.argmin(ok)), int(g)) for g, xg in zip(*_generators(k, column))
+def _first_break(picked, agrees):
+    """The first (x, g) by x, then by pick order, with g a generator of picked = (gens, right),
+    as _generators returns them, and agrees(g, right[j])[x] False; or None. A map that sends every
+    such x*g to the product of the images is a homomorphism, by induction on m for
+    x*(g1...gm) = (...(x*g1)...)*gm."""
+    bad = ((int(np.argmin(ok)), int(g)) for g, xg in zip(*picked)
            if not (ok := agrees(g, xg)).all())
     return min(bad, default=None)  # generators ascend, so a tie on x goes to the first picked
 
@@ -310,7 +311,8 @@ def check_homomorphism(mapping, s: FiniteSemigroup, t: FiniteSemigroup) -> Homom
         if not 0 <= v < t.size:
             raise ValueError(f"mapping value {v} out of range for the target")
     f = np.array(mapping, dtype=np.intp)
-    pair = _first_break(s.size, lambda x: s.table[:, x], lambda g, xg: f[xg] == t.table[f, f[g]])
+    pair = _first_break(_generators(s.size, lambda x: s.table[:, x]),
+                        lambda g, xg: f[xg] == t.table[f, f[g]])
     if pair is not None:
         return HomomorphismCheck(False, False, False, pair)
     image = set(mapping)

@@ -254,7 +254,8 @@ print(json.dumps([m for m in %r if m in sys.modules]))
     ([], []),
     ([["check-hall", "hall3.rel"], ["check-hall", "nonhall3.rel"],
       ["compose", "hall3.rel", "nonhall3.rel"], ["check-hall", "missing.rel"],
-      ["power-group", "--group", "cyclic:x"]], []),
+      ["power-group", "--group", "cyclic:x"], ["count-hall", "--n", "9"],
+      ["count-hall", "--n", "0"]], []),
     ([["analyze", "hall2.cay"]], ["numpy"]),
     ([["count-hall", "--n", "3", "--workers", "1000000000"], ["campaign", "--n", "1"]], ["numpy"]),
 ], ids=["import", "pure-relation-commands", "analyze", "count-in-process"])

@@ -316,6 +316,21 @@ def test_validate_action_rejects_non_automorphism():
     assert str(exc.value) == "map of 21 is not an automorphism: breaks at (10|01, 11|01)"
 
 
+def test_validate_action_picks_each_generating_set_once(monkeypatch):
+    from hallkit import constructions
+
+    action = conjugation_action(3)
+    pick, sizes = constructions._generators, []
+
+    def counted(k, column):
+        sizes.append(k)
+        return pick(k, column)
+
+    monkeypatch.setattr(constructions, "_generators", counted)
+    validate_action(action)
+    assert sizes == [action.target.size, action.group.size]  # not one pick per group element
+
+
 # semidirect products
 
 def test_semidirect_with_trivial_group_is_the_monoid(refl2):

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -21,7 +22,13 @@ from hallkit import (
     relations,
     verification_campaign,
 )
-from hallkit.enumeration import _column_orbits, _hall_flags, _rows_of_codes
+from hallkit.enumeration import (
+    _column_images,
+    _column_orbits,
+    _hall_flags,
+    _pair_permanents,
+    _rows_of_codes,
+)
 
 
 def test_small_counts_match_brute_force():
@@ -116,15 +123,40 @@ def test_orbit_weights_count_ordered_row_sequences(n):
         return min(tuple(sorted(sum(1 << p[c] for c in range(n) if v >> c & 1) for v in rows))
                    for p in perms)
 
-    sequences = itertools.product(range(1, 1 << n), repeat=n - 1)
-    groups = collections.Counter(canonical(rows) for rows in sequences)
-    reps, weights = _column_orbits(n)
-    assert dict(zip(map(tuple, reps.tolist()), weights.tolist())) == groups
+    for m in range(max(n - 2, 0), n):  # m = n-2 (the oracle's rows) and m = n-1
+        sequences = itertools.product(range(1, 1 << n), repeat=m)
+        groups = collections.Counter(canonical(rows) for rows in sequences)
+        reps, weights = _column_orbits(n, m)
+        assert dict(zip(map(tuple, reps.tolist()), weights.tolist())) == groups
 
 
 def test_orbit_weights_sum_to_all_row_sequences():
     for n in (1, 2, 3, 4, 5, 6):
-        assert int(_column_orbits(n)[1].sum()) == ((1 << n) - 1) ** (n - 1)
+        for m in range(max(n - 2, 0), n):
+            assert int(_column_orbits(n, m)[1].sum()) == ((1 << n) - 1) ** m
+
+
+def test_column_images_move_each_bit():
+    for n in (1, 2, 3, 4, 5):
+        expected = [[sum(1 << p[c] for c in range(n) if v >> c & 1) for v in range(1 << n)]
+                    for p in itertools.permutations(range(n))]
+        assert _column_images(n).tolist() == expected
+
+
+def test_pair_permanents_match_boolean_permanent():
+    import numpy as np
+
+    rng = random.Random(20261018)
+    for n in (3, 4, 5, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        rows = np.array([[rng.randrange(1 << n) for _ in range(n - 2)] for _ in range(40)])
+        positive = _pair_permanents(rows, n) > 0
+        for a, matrix in enumerate(rows.tolist()):
+            for j, (c, d) in enumerate(pairs):
+                kept = [col for col in range(n) if col not in (c, d)]
+                deleted = Relation(n - 2, tuple(
+                    sum(1 << k for k, col in enumerate(kept) if v >> col & 1) for v in matrix))
+                assert positive[a, j] == bool(relations.boolean_permanent(deleted))
 
 
 def test_oracle_small_terms():
