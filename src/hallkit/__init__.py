@@ -35,6 +35,7 @@ _EXPORTS = {
         "EnumerationReport",
         "count_hall",
         "count_hall_inclusion_exclusion",
+        "count_preorders",
         "count_reflexive",
         "hall_idempotent_census",
         "materialize_hall",

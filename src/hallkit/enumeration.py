@@ -9,6 +9,12 @@ n-2 rows only. Over the column-orbit representatives of those rows, each
 weighted by the row sequences it stands for, Ryser's formula gives the
 permanent with every pair of columns deleted, and these decide which last two
 rows complete a Hall matrix.
+
+The Hall idempotents are counted twice too. hall_idempotent_census squares
+the matrices that contain one fixed permutation per cycle type of S_n, which
+is enough to show that every Hall idempotent is reflexive, and counts the
+idempotents among the reflexive matrices. count_preorders counts the same
+numbers, the preorders, by one-point extension in pure Python.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .constructions import (
 )
 from .relations import (
     MAX_COUNT_DIM,
-    Relation,
     check_count_dim,
     hall_relations,
     permutations_lex,
@@ -66,11 +71,6 @@ class EnumerationReport:
     elapsed_seconds: float
 
 
-def _rows_of_codes(codes, n):
-    full = np.uint64((1 << n) - 1)
-    return [((codes >> np.uint64(i * n)) & full).astype(np.uint32) for i in range(n)]
-
-
 def _reach_masks(n):
     """reach_clear[c] = bitmap of column subsets (as state bits) avoiding column c."""
     size = 1 << n
@@ -84,28 +84,18 @@ def _reach_masks(n):
     return out
 
 
-def _step(state, row, n):
+def _step(state, row, clear):
     """Matching states after reading one more row, elementwise over arrays.
 
     Bit k of a state is set when column subset k is exactly matched by the
     rows read so far; the empty subset (state 1) starts, and a state of 0
-    can never match every column.
+    can never match every column. clear is _reach_masks(n).
     """
-    clear = _reach_masks(n)
     new = np.zeros(state.shape, dtype=np.uint64)
-    for c in range(n):
+    for c, mask in enumerate(clear):
         has = ((row >> np.uint32(c)) & np.uint32(1)).astype(np.uint64)
-        new |= ((state & clear[c]) << np.uint64(1 << c)) * has
+        new |= ((state & mask) << np.uint64(1 << c)) * has
     return new
-
-
-def _hall_flags(rows, n):
-    """Per-matrix perfect-matching test: fold _step over the rows of each
-    matrix and test the full-column bit."""
-    state = np.ones(rows[0].shape[0], dtype=np.uint64)
-    for row in rows:
-        state = _step(state, row, n)
-    return (state >> np.uint64((1 << n) - 1)) & np.uint64(1) == 1
 
 
 def _count(n):
@@ -115,11 +105,12 @@ def _count(n):
     state carrying the number of row prefixes that reach it. Zero rows and
     dead states are dropped, since neither can lead to a Hall matrix.
     """
+    clear = _reach_masks(n)
     rows = np.arange(1, 1 << n, dtype=np.uint32)
     states = np.ones(1, dtype=np.uint64)
     weights = np.ones(1, dtype=np.int64)
     for _ in range(n):
-        nxt = _step(np.repeat(states, rows.size), np.tile(rows, states.size), n)
+        nxt = _step(np.repeat(states, rows.size), np.tile(rows, states.size), clear)
         live = nxt != 0
         states, inverse = np.unique(nxt[live], return_inverse=True)
         merged = np.zeros(states.size, dtype=np.int64)
@@ -298,31 +289,110 @@ def count_hall_inclusion_exclusion(n: int) -> int:
     return total
 
 
+def _cycle_type_representatives(n):
+    """One permutation of S_n per cycle type, as image tuples, the identity first.
+
+    Each partition of n, parts ascending, cycles runs of consecutive points of
+    those lengths. Partitions come in lexicographic order, so 1+1+...+1, the
+    identity, is first.
+    """
+    def partitions(rest, least):
+        if rest == 0:
+            yield ()
+        for part in range(least, rest + 1):
+            for tail in partitions(rest - part, part):
+                yield (part,) + tail
+
+    reps = []
+    for parts in partitions(n, 1):
+        image, start = [], 0
+        for part in parts:
+            image += list(range(start + 1, start + part)) + [start]
+            start += part
+        reps.append(tuple(image))
+    return reps
+
+
 def hall_idempotent_census(n: int):
     """Count idempotent Hall relations and verify they are all reflexive.
 
     A Hall idempotent e contains some permutation p, so e = e^m contains p^m
     for every m >= 1, and with m the order of p it contains p^m = id: every
     Hall idempotent is reflexive. The sweep checks this rather than assuming
-    it. One vectorized sweep squares all 2^(n^2) matrices. A reflexive relation
-    contains the identity, so the reflexive idempotents are Hall and are
-    counted; the non-reflexive idempotents must all fail the matching test.
+    it, without sweeping all 2^(n^2) matrices. Every Hall matrix e contains
+    some permutation q, and q = s p s^-1 for the representative p of q's cycle
+    type (_cycle_type_representatives). Conjugation e -> s^-1 e s keeps
+    idempotency, reflexivity and containing a permutation, so every Hall
+    idempotent is reflexive iff, for each representative p, every idempotent
+    e containing p is. The sweep therefore squares, for each p, the
+    2^(n(n-1)) matrices whose row i has bit p(i) set: row i takes the
+    2^(n-1) values with that bit, and all blocks form one broadcast grid of
+    uint8 rows. Every swept matrix contains p, so no matching is run. The
+    identity comes first, and its block is exactly the reflexive matrices,
+    which all contain the identity and so are Hall: the count is the number
+    of idempotents in that block, which is every Hall idempotent when
+    all_reflexive holds. Returns (count, all_reflexive).
     """
     if not 1 <= n <= MAX_CENSUS_DIM:
         raise ValueError(f"census supported for 1 <= n <= {MAX_CENSUS_DIM}, got {n}")
-    diag = np.uint64(Relation.identity(n).code)
-    codes = np.arange(1 << (n * n), dtype=np.uint64)
-    rows = _rows_of_codes(codes, n)
-    idem = np.ones(codes.shape[0], dtype=bool)
+    reps = np.array(_cycle_type_representatives(n), dtype=np.intp)
+    values = np.arange(1 << n, dtype=np.uint8)
+    # with_bit[c] = the 2^(n-1) row values with bit c set
+    with_bit = np.stack([values[values >> c & 1 == 1] for c in range(n)])
+    rows = []
+    for i in range(n):
+        shape = [len(reps)] + [1] * n
+        shape[1 + i] = -1
+        rows.append(with_bit[reps[:, i]].reshape(shape))
+    idem = reflexive = True
     for i in range(n):
         # row i of M^2 is the union of the rows z with bit z in row i
-        square = np.zeros_like(rows[i])
+        square = 0
         for z in range(n):
-            square |= rows[z] * (rows[i] >> np.uint32(z) & np.uint32(1))
-        idem &= square == rows[i]
-    reflexive = (codes & diag) == diag
-    count = int(np.count_nonzero(idem & reflexive))
-    return count, not bool(np.any(_hall_flags([r[idem & ~reflexive] for r in rows], n)))
+            square = square | rows[z] * (rows[i] >> z & 1)
+        idem = idem & (square == rows[i])
+        reflexive = reflexive & (rows[i] >> i & 1 == 1)
+    return int(np.count_nonzero(idem[0])), not bool(np.any(idem & ~reflexive))
+
+
+def _point_extensions(up):
+    """The pairs (D, U) of bitmasks that extend a preorder by one more point.
+
+    up[x] is the set of points at or above x. The new point lies above the
+    points of D and below those of U: D must be down-closed, U up-closed, and
+    every d in D below every u in U, i.e. U within meet[D], the points above
+    all of D. These are what transitivity through the new point requires, and
+    together they suffice.
+    """
+    m = len(up)
+    down = [sum(1 << y for y in range(m) if up[y] >> x & 1) for x in range(m)]
+    up_close, down_close, meet = [0], [0], [(1 << m) - 1]
+    for s in range(1, 1 << m):
+        low, rest = (s & -s).bit_length() - 1, s & (s - 1)
+        up_close.append(up_close[rest] | up[low])
+        down_close.append(down_close[rest] | down[low])
+        meet.append(meet[rest] & up[low])
+    ups = [s for s in range(1 << m) if up_close[s] == s]
+    return [(d, u) for d in range(1 << m) if down_close[d] == d for u in ups if u & meet[d] == u]
+
+
+def count_preorders(n: int) -> int:
+    """Count the preorders on n points by one-point extension, in pure Python.
+
+    A reflexive relation e is idempotent iff it is transitive (e.e within e;
+    e within e.e holds by reflexivity), i.e. a preorder. So this counts the
+    Hall idempotents that hall_idempotent_census counts by squaring, and
+    shares no kernel with it: 1, 4, 29, 355, 6942, 209527 (OEIS A000798).
+    Each preorder on n points restricts to one on the first n-1, together with
+    the points below and above point n (_point_extensions). The preorders on
+    n-1 points are built one point at a time; their extensions are counted.
+    """
+    check_count_dim(n)
+    level = [()]
+    for m in range(n - 1):
+        level = [tuple(v | (d >> x & 1) << m for x, v in enumerate(up)) + (u | 1 << m,)
+                 for up in level for d, u in _point_extensions(up)]
+    return sum(len(_point_extensions(up)) for up in level)
 
 
 def materialize_reflexive(n: int):

@@ -4,7 +4,15 @@ import random
 
 import numpy as np
 
-from hallkit import HomomorphismCheck, Relation, compose, relations, semigroup_of_relations
+from hallkit import (
+    HomomorphismCheck,
+    Relation,
+    compose,
+    is_hall,
+    is_reflexive,
+    relations,
+    semigroup_of_relations,
+)
 
 
 def random_relation_semigroups(count, max_order=20, seed=20260808):
@@ -44,6 +52,14 @@ def brute_hall_count(n):
         if any(all(rows[i] >> p[i] & 1 for i in range(n)) for p in perms):
             count += 1
     return count
+
+
+def reference_idempotent_census(n):
+    """Square every one of the 2^(n^2) matrices with compose (n <= 3): the
+    number of Hall idempotents, and whether every one of them is reflexive."""
+    matrices = (Relation.from_code(n, code) for code in range(1 << (n * n)))
+    idempotents = [r for r in matrices if compose(r, r) == r and is_hall(r) is not None]
+    return len(idempotents), all(is_reflexive(r) for r in idempotents)
 
 
 def reference_count_reflexive(n):

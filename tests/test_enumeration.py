@@ -1,23 +1,33 @@
 import collections
+import importlib.util
 import itertools
 import math
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from helpers import brute_hall_count, reference_count_reflexive, reference_multiset_oracle
+from helpers import (
+    brute_hall_count,
+    reference_count_reflexive,
+    reference_idempotent_census,
+    reference_multiset_oracle,
+)
 
 from hallkit import (
     Relation,
     compose,
     count_hall,
     count_hall_inclusion_exclusion,
+    count_preorders,
     count_reflexive,
     enumeration,
     hall_idempotent_census,
     is_hall,
     is_reflexive,
     materialize_hall,
+    permutations_lex,
     reflexive_relations,
     relations,
     verification_campaign,
@@ -25,9 +35,10 @@ from hallkit import (
 from hallkit.enumeration import (
     _column_images,
     _column_orbits,
-    _hall_flags,
+    _cycle_type_representatives,
     _pair_permanents,
-    _rows_of_codes,
+    _reach_masks,
+    _step,
 )
 
 
@@ -41,7 +52,12 @@ def test_stream_kernel_matches_is_hall_per_matrix():
 
     for n in (1, 2, 3):
         codes = np.arange(1 << (n * n), dtype=np.uint64)
-        flags = _hall_flags(_rows_of_codes(codes, n), n)
+        clear = _reach_masks(n)
+        state = np.ones(codes.size, dtype=np.uint64)
+        for i in range(n):
+            state = _step(state, (codes >> np.uint64(i * n) & np.uint64((1 << n) - 1)).astype(
+                np.uint32), clear)
+        flags = state >> np.uint64((1 << n) - 1) & np.uint64(1) == 1
         for code, flag in enumerate(flags):
             assert bool(flag) == (is_hall(Relation.from_code(n, code)) is not None)
 
@@ -109,7 +125,7 @@ def test_oracle_runs_no_matching(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not match rows or fold the transfer matrix")
 
-    for name in ("_step", "_reach_masks", "_hall_flags", "_count", "count_hall"):
+    for name in ("_step", "_reach_masks", "_count", "count_hall"):
         monkeypatch.setattr(enumeration, name, forbidden)
     assert [count_hall_inclusion_exclusion(n) for n in (1, 2, 3, 4, 5)] == [
         1, 7, 247, 37823, 23191071]
@@ -194,6 +210,89 @@ def test_census_against_direct_squaring():
         count, all_reflexive = hall_idempotent_census(n)
         assert count == expected
         assert all_reflexive
+
+
+def cycle_type(image):
+    seen, lengths = set(), []
+    for start in range(len(image)):
+        length, point = 0, start
+        while point not in seen:
+            seen.add(point)
+            point, length = image[point], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def test_cycle_type_representatives():
+    for n, partitions in zip((1, 2, 3, 4, 5, 6), (1, 2, 3, 5, 7, 11)):
+        reps = _cycle_type_representatives(n)
+        assert len(reps) == partitions
+        assert reps[0] == tuple(range(n))
+        assert sorted(map(cycle_type, reps)) == sorted(
+            {cycle_type(p.image) for p in permutations_lex(n)})
+
+
+def test_census_matches_full_sweep():
+    for n in (1, 2, 3):
+        assert hall_idempotent_census(n) == reference_idempotent_census(n)
+
+
+def test_census_reports_planted_non_reflexive_idempotent(monkeypatch):
+    # a block containing the constant map to column 0 holds the idempotent
+    # whose every row is {0}, which is not reflexive for n >= 2
+    reps = _cycle_type_representatives
+    monkeypatch.setattr(enumeration, "_cycle_type_representatives",
+                        lambda n: reps(n) + [(0,) * n])
+    assert [hall_idempotent_census(n) for n in (1, 2, 3, 4)] == [
+        (1, True), (4, False), (29, False), (355, False)]
+
+
+def test_census_runs_no_matching(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("every swept matrix contains a permutation; no matching is needed")
+
+    for name in ("_step", "_reach_masks", "_count"):
+        monkeypatch.setattr(enumeration, name, forbidden)
+    assert [hall_idempotent_census(n) for n in (1, 2, 3, 4)] == [
+        (1, True), (4, True), (29, True), (355, True)]
+
+
+def test_preorders_match_census():
+    for n in (1, 2, 3, 4):
+        assert count_preorders(n) == hall_idempotent_census(n)[0] == count_hall(n).idempotent_hall
+
+
+def test_preorders_oeis_a000798():
+    assert [count_preorders(n) for n in (5, 6)] == [6942, 209527]
+    with pytest.raises(ValueError):
+        count_preorders(0)
+    with pytest.raises(ValueError):
+        count_preorders(7)
+
+
+def test_preorders_share_no_kernel_with_census(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("count_preorders must not use the census or the matching fold")
+
+    for name in ("_step", "_count", "hall_idempotent_census"):
+        monkeypatch.setattr(enumeration, name, forbidden)
+    monkeypatch.setattr(relations, "compose", forbidden)
+    assert [count_preorders(n) for n in (1, 2, 3, 4, 5)] == [1, 4, 29, 355, 6942]
+
+
+def test_census_script_exits_1_when_idempotent_methods_disagree(monkeypatch, capsys):
+    path = Path(__file__).parents[1] / "scripts" / "hall_census.py"
+    spec = importlib.util.spec_from_file_location("hall_census", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["hall_census.py", "--max-n", "3"])
+    script.main()
+    monkeypatch.setattr(script, "count_preorders", lambda n: 0)
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().out.splitlines()[-1].split()[-3] == "NO"
 
 
 def test_materialize_reflexive(refl2):

@@ -14,8 +14,8 @@ EXPORTS = {
     ],
     "enumeration": [
         "CampaignReport", "EnumerationReport", "count_hall", "count_hall_inclusion_exclusion",
-        "count_reflexive", "hall_idempotent_census", "materialize_hall", "materialize_reflexive",
-        "verification_campaign",
+        "count_preorders", "count_reflexive", "hall_idempotent_census", "materialize_hall",
+        "materialize_reflexive", "verification_campaign",
     ],
     "relations": [
         "Permutation", "Relation", "all_relations", "boolean_permanent", "compose", "conjugate",
