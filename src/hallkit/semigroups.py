@@ -1,15 +1,17 @@
 """Abstract finite semigroups as Cayley tables, each held as one read-only k x k
-int32 numpy array (FiniteSemigroup.table) that every kernel reads directly:
-Green's relations, idempotent structure, block-group and J-triviality
-predicates, closures, homomorphism checks, and a bounded division search.
+uint16 numpy array (FiniteSemigroup.table; MAX_TABLE_SIZE < 2^16) that every
+kernel reads directly: Green's relations, idempotent structure, block-group and
+J-triviality predicates, closures, homomorphism checks, and a bounded division
+search.
 
 validate_table proves associativity by Light's test: the elements x with
 (xy)z = x(yz) for all y, z are closed under products, so checking x over a
 generating set proves the whole table, in O(k^2 |A|) instead of O(k^3).
 
-Green's R and L classes come from the principal one-sided ideals; J is derived
-from them, as J = D = R∘L in a finite semigroup. One cap, MAX_TABLE_SIZE,
-bounds every table; MAX_DIVISION_TARGET bounds the division search.
+Green's R and L classes label each element by the least member of its class,
+read off the principal one-sided ideals without sorting; J is derived from
+them, as J = D = R∘L in a finite semigroup. One cap, MAX_TABLE_SIZE, bounds
+every table; MAX_DIVISION_TARGET bounds the division search.
 
 Element order is always the table's row order; every search and tie-break is
 deterministic (ascending indices, lexicographic generator subsets).
@@ -31,14 +33,15 @@ MAX_DIVISION_TARGET = 12
 
 @dataclass(frozen=True, eq=False)
 class FiniteSemigroup:
-    """Distinct element labels and a Cayley table, kept as a read-only int32 copy."""
+    """Distinct element labels and a Cayley table, kept as a read-only uint16 copy;
+    Green's classes label each element by the least member of its class."""
 
     labels: tuple[str, ...]
     table: np.ndarray
     identity: Optional[int] = None
 
     def __post_init__(self):
-        table = np.array(self.table, dtype=np.int32)
+        table = np.array(self.table, dtype=np.uint16)
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
@@ -147,8 +150,8 @@ def _check_associative(t, labels):
     xs = _generators(len(t), lambda x: t[:, x])[0]
     for lo, hi in slabs(len(xs), t.size):  # a generator row x spans k x k pairs (y, z)
         sub = t[xs[lo:hi]]
-        left = t[sub, :]          # (x*y)*z
-        right = sub[:, t]         # x*(y*z)
+        left = np.take(t, sub, axis=0)   # (x*y)*z
+        right = np.take(sub, t, axis=1)  # x*(y*z)
         if not np.array_equal(left, right):
             i, y, z = np.argwhere(left != right)[0]
             x = xs[lo + i]
@@ -188,7 +191,7 @@ def validate_table(labels, table) -> FiniteSemigroup:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"table entry at ({i + 1},{j + 1}) out of range: {t[i, j]}")
-    t = t.astype(np.int32)
+    t = t.astype(np.uint16)  # entries are below MAX_TABLE_SIZE < 2^16
     _check_associative(t, labels)
     return FiniteSemigroup(labels, t, _find_identity(t))
 
@@ -201,7 +204,7 @@ def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
     fresh = "1"
     while fresh in s.labels:
         fresh += "'"
-    ar = np.arange(k + 1, dtype=np.int32)
+    ar = np.arange(k + 1, dtype=np.uint16)
     return FiniteSemigroup(s.labels + (fresh,), np.block([[s.table, ar[:k, None]], [ar[None]]]), k)
 
 
@@ -209,12 +212,14 @@ def idempotents(s: FiniteSemigroup) -> list[int]:
     return np.flatnonzero(np.diagonal(s.table) == np.arange(s.size)).tolist()
 
 
-def _ideal_labels(t):
-    """Label each element x by its principal right ideal {x} ∪ xS (row x of t)."""
+def _least_members(t):
+    """Label each element x by the least y with xS¹ = yS¹, its R-class's least
+    member (the L-class's on t.T): row x of member marks {x} ∪ xS, and
+    member & member.T marks the y with x ∈ yS¹ and y ∈ xS¹."""
     k = len(t)
     member = np.eye(k, dtype=bool)
     member[np.arange(k)[:, None], t] = True
-    return np.unique(member, axis=0, return_inverse=True)[1].reshape(-1)
+    return (member & member.T).argmax(axis=1)
 
 
 def _classes(labels):
@@ -226,33 +231,35 @@ def _classes(labels):
 
 
 def green_summary(s: FiniteSemigroup) -> GreenSummary:
-    """Green's R/L/J partitions from the principal one-sided ideals.
+    """Green's R/L/J partitions, each element labelled by its class's least member.
 
-    R and L label each element by the set {x} ∪ xS, resp. {x} ∪ Sx. In a finite
-    semigroup J = D, and D = R∘L (Howie, Fundamentals of Semigroup Theory,
-    Props. 2.1.3 and 2.1.4); an R-class and an L-class of one D-class always
-    meet, so two R-classes lie in one J-class exactly when they meet the same
-    L-classes.
+    R and L come from the sets {x} ∪ xS, resp. {x} ∪ Sx (_least_members). In a
+    finite semigroup J = D, and D = R∘L (Howie, Fundamentals of Semigroup
+    Theory, Props. 2.1.3 and 2.1.4): y D x iff x R z L y for some z. So
+    D(x) = ∪_{z ∈ R(x)} L(z), and its least member is the least L-label over
+    the R-class of x.
     """
     k = s.size
     if k > MAX_TABLE_SIZE:
         raise ValueError(f"size {k} exceeds the table cap {MAX_TABLE_SIZE}")
-    r_of = _ideal_labels(s.table)
-    l_of = _ideal_labels(s.table.T)
-    meets = np.zeros((r_of.max() + 1, l_of.max() + 1), dtype=bool)
-    meets[r_of, l_of] = True
-    j_of = np.unique(meets, axis=0, return_inverse=True)[1].reshape(-1)[r_of]
+    r_of = _least_members(s.table)
+    l_of = _least_members(s.table.T)
+    j = np.full(k, k)
+    np.minimum.at(j, r_of, l_of)
     return GreenSummary(
         r_classes=_classes(r_of),
         l_classes=_classes(l_of),
-        j_classes=_classes(j_of),
+        j_classes=_classes(j[r_of]),
         idempotent_indices=tuple(idempotents(s)),
     )
 
 
 def is_j_trivial(s: FiniteSemigroup) -> bool:
-    """True iff every J-class (= D-class, as s is finite) is a single element."""
-    return all(len(c) == 1 for c in green_summary(s).j_classes)
+    """True iff every J-class is a single element: as J = D = R∘L in a finite
+    semigroup, iff s is both R-trivial and L-trivial, that is, iff every
+    element is the least member of its R-class and of its L-class."""
+    ar = np.arange(s.size)
+    return bool((_least_members(s.table) == ar).all() and (_least_members(s.table.T) == ar).all())
 
 
 def is_block_group(s: FiniteSemigroup):
@@ -397,7 +404,7 @@ def semigroup_of_relations(elements):
     if twins.size:  # the first repeat in list order follows the element it repeats
         d = twins[np.argmin(order[twins + 1])]
         raise ValueError(f"duplicate relation at positions {order[d] + 1} and {order[d + 1] + 1}")
-    table = np.empty((len(rows), len(rows)), dtype=np.int32)
+    table = np.empty((len(rows), len(rows)), dtype=np.uint16)
     for lo, hi in slabs(len(rows), rows.size):
         # block[i, j] holds the rows of element lo+i * element j
         block = np.ascontiguousarray(union_product(rows[lo:hi], rows.T).transpose(0, 2, 1))

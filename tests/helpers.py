@@ -12,18 +12,20 @@ from hallkit import (
     is_reflexive,
     relations,
     semigroup_of_relations,
+    validate_table,
 )
 
 
-def random_relation_semigroups(count, max_order=20, seed=20260808):
-    """Closure-generated semigroups of relations, deterministic across runs."""
+def random_relation_semigroups(count, max_order=20, seed=20260808, generators=(1, 2)):
+    """Closure-generated semigroups of relations on n = 2 or 3 points, from a
+    number of random relations drawn from generators; deterministic across runs."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         n = rng.choice((2, 3))
         gens = {
             Relation(n, tuple(rng.randrange(1 << n) for _ in range(n)))
-            for _ in range(rng.choice((1, 2)))
+            for _ in range(rng.choice(generators))
         }
         elems = list(gens)
         seen = set(gens)
@@ -41,6 +43,46 @@ def random_relation_semigroups(count, max_order=20, seed=20260808):
             elems.sort(key=lambda r: r.code)
             out.append(semigroup_of_relations(elems)[0])
     return out
+
+
+def random_transformation_semigroups(count, max_order=60, seed=20261019):
+    """Closures of 1-3 random maps on 2-4 points under composition (apply the
+    left factor first), as validated Cayley tables in order of discovery."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randrange(2, 5)
+        elems = list(dict.fromkeys(
+            tuple(rng.randrange(d) for _ in range(d)) for _ in range(rng.randrange(1, 4))))
+        index = {f: i for i, f in enumerate(elems)}
+        i = 0
+        while i < len(elems) <= max_order:  # every product of two listed maps gets listed
+            for j in range(i + 1):
+                for f, g in ((elems[i], elems[j]), (elems[j], elems[i])):
+                    fg = tuple(g[x] for x in f)
+                    if fg not in index:
+                        index[fg] = len(elems)
+                        elems.append(fg)
+            i += 1
+        if len(elems) <= max_order:
+            table = [[index[tuple(g[x] for x in f)] for g in elems] for f in elems]
+            out.append(validate_table([str(f) for f in elems], table))
+    return out
+
+
+def reference_green_classes(table):
+    """Green's (R, L, J) partitions of a table given as nested lists: elements
+    grouped by the sets {x} ∪ xS, {x} ∪ Sx and S¹xS¹, each partition a tuple of
+    classes in least-element order."""
+    k = len(table)
+    groups = ({}, {}, {})
+    for x in range(k):
+        right = {x} | set(table[x])
+        left = {x} | {row[x] for row in table}
+        both = right | left | {table[a][table[x][b]] for a in range(k) for b in range(k)}
+        for group, key in zip(groups, (right, left, both)):
+            group.setdefault(frozenset(key), []).append(x)
+    return tuple(tuple(tuple(c) for c in group.values()) for group in groups)
 
 
 def brute_hall_count(n):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from helpers import (
     random_relation_semigroups,
+    random_transformation_semigroups,
     reference_check_homomorphism,
     reference_generators,
+    reference_green_classes,
     reference_is_block_group,
     reference_subsemigroup_closure,
     right_closure,
@@ -39,21 +41,6 @@ Z2 = validate_table(["e", "a"], [[0, 1], [1, 0]])
 Z3 = validate_table(["e", "a", "b"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 SEMILATTICE = validate_table(["one", "z"], [[0, 1], [1, 1]])
 LEFT_ZERO = validate_table(["a", "b"], [[0, 0], [1, 1]])
-
-
-def ideal_partition(table, kind):
-    """Oracle: Green's classes by materializing the generated ideals as sets."""
-    k = len(table)
-    keys = {}
-    for x in range(k):
-        right = {x} | {table[x][s] for s in range(k)}
-        left = {x} | {table[s][x] for s in range(k)}
-        both = right | left | {table[a][table[x][b]] for a in range(k) for b in range(k)}
-        keys[x] = frozenset({"r": right, "l": left, "j": both}[kind])
-    groups = {}
-    for x, key in keys.items():
-        groups.setdefault(key, []).append(x)
-    return sorted(tuple(sorted(v)) for v in groups.values())
 
 
 def first_bad_triple(table):
@@ -172,17 +159,22 @@ def test_validate_integral_and_bool_entries():
         validate_table(["e"], [[True]])
 
 
-def test_table_is_one_read_only_int32_array(hall2):
+def test_table_is_one_read_only_uint16_array(hall2):
     made = [Z3, hall2[0], adjoin_identity(LEFT_ZERO), subsemigroup_closure(Z3, [1])[0],
             FiniteSemigroup(("a", "b"), ((0, 0), (1, 1))), power_semigroup(Z2)[0]]
     for semi in made:
         assert isinstance(semi.table, np.ndarray)
-        assert semi.table.dtype == np.int32 and semi.table.shape == (semi.size, semi.size)
+        assert semi.table.dtype == np.uint16 and semi.table.shape == (semi.size, semi.size)
         assert not semi.table.flags.writeable
     mine = np.array([[0, 0], [1, 1]], dtype=np.int32)
     semi = FiniteSemigroup(("a", "b"), mine)
     mine[0, 1] = 1  # the caller's array is copied, not adopted
     assert semi.mul(0, 1) == 0 and type(semi.mul(0, 1)) is int
+    # every index of a table at the cap fits, and so does the 1-based entry emit_cayley writes
+    assert semigroups.MAX_TABLE_SIZE <= np.iinfo(np.uint16).max + 1
+    big = cyclic_group(semigroups.MAX_TABLE_SIZE).base
+    assert big.table.dtype == np.uint16 and big.mul(1, big.size - 2) == big.size - 1
+    assert int((big.table + 1).max()) == big.size == semigroups.MAX_TABLE_SIZE
 
 
 def test_validate_rejects_duplicates_and_bad_entries():
@@ -277,17 +269,33 @@ def test_green_of_group():
     assert g.r_classes == g.l_classes == g.j_classes == ((0, 1, 2),)
 
 
+def _rectangular_band(rows, cols):
+    """(i, j)(k, l) = (i, l), element (i, j) at index cols*i + j."""
+    k = rows * cols
+    return validate_table([f"{i}{j}" for i in range(rows) for j in range(cols)],
+                          [[cols * (x // cols) + y % cols for y in range(k)] for x in range(k)])
+
+
 def test_green_matches_ideal_oracle(refl2, hall2, full2, refl3, hall3):
     catalog = [semi for semi, _ in (refl2, hall2, full2, refl3, hall3)]
     groups = [cyclic_group(m) for m in range(1, 6)] + [symmetric_group_table(3)]
     catalog += [power_semigroup(g.base)[0] for g in groups]
     catalog += random_relation_semigroups(25)
+    catalog += random_relation_semigroups(30, max_order=40, seed=7, generators=(1, 2, 3))
+    catalog += random_transformation_semigroups(30)
+    # J non-trivial and split by R and L; R-trivial only; L-trivial only; J-trivial
+    catalog += [_rectangular_band(2, 3), LEFT_ZERO, _rectangular_band(1, 3), SEMILATTICE]
+    j_trivial = set()
     for semi in catalog:
+        classes = reference_green_classes(semi.table.tolist())
         g = green_summary(semi)
-        table = semi.table.tolist()  # the pure-Python oracle indexes lists faster
-        assert list(g.r_classes) == ideal_partition(table, "r")
-        assert list(g.l_classes) == ideal_partition(table, "l")
-        assert list(g.j_classes) == ideal_partition(table, "j")
+        assert (g.r_classes, g.l_classes, g.j_classes) == classes
+        for table, partition in ((semi.table, classes[0]), (semi.table.T, classes[1])):
+            least = {x: c[0] for c in partition for x in c}
+            assert semigroups._least_members(table).tolist() == [least[x] for x in range(semi.size)]
+        j_trivial.add(is_j_trivial(semi))
+        assert is_j_trivial(semi) == all(len(c) == 1 for c in g.j_classes)
+    assert j_trivial == {False, True}
 
 
 def test_green_r2_all_singletons(refl2):
@@ -317,12 +325,8 @@ def test_green_classes_refine_j(hall3):
 
 
 def test_green_rectangular_band():
-    # 2x3 rectangular band (i, j)(k, l) = (i, l), element (i, j) at index 3i + j:
-    # R-classes are rows, L-classes columns, and D = R∘L joins everything
-    band = validate_table(
-        [f"{i}{j}" for i in range(2) for j in range(3)],
-        [[3 * (x // 3) + y % 3 for y in range(6)] for x in range(6)],
-    )
+    # 2x3 rectangular band: R-classes are rows, L-classes columns, and D = R∘L joins everything
+    band = _rectangular_band(2, 3)
     g = green_summary(band)
     assert g.r_classes == ((0, 1, 2), (3, 4, 5))
     assert g.l_classes == ((0, 3), (1, 4), (2, 5))
