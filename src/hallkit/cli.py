@@ -26,10 +26,19 @@ from .relations import (
     compose,
     emit_relmat,
     is_hall,
+    parse_cayley_text,
     parse_relmat,
 )
 
 SCHEMA = "hallkit-report v1"
+
+
+def _named(path: str, parse, *args):
+    """parse(*args); an error names the path of the input file."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_file(path: str, parse):
@@ -39,20 +48,24 @@ def _parse_file(path: str, parse):
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _named(path, parse, text)
 
 
 def parse_relation_file(path: str) -> Relation:
     return _parse_file(path, parse_relmat)
 
 
-def parse_cayley_file(path: str):
-    from .semigroups import parse_cayley
+def parse_cayley_files(*paths: str):
+    """The semigroups of Cayley table files, as semigroups.parse_cayley reads them.
+    The text layer runs on every file before the table layer imports numpy."""
+    texts = [_parse_file(path, parse_cayley_text) for path in paths]
+    from .semigroups import cayley_semigroup
 
-    return _parse_file(path, parse_cayley)
+    return [_named(path, cayley_semigroup, *text) for path, text in zip(paths, texts)]
+
+
+def parse_cayley_file(path: str):
+    return parse_cayley_files(path)[0]
 
 
 def _bad_spec(spec: str, problem: str) -> ValueError:
@@ -71,9 +84,10 @@ def _load_group(spec: str):
     if not sep or kind not in ("cyclic", "symmetric", "file"):
         raise _bad_spec(spec, "must look like cyclic:<m>, symmetric:<n> or file:<path>")
     if kind == "file":
+        table = parse_cayley_file(arg)
         from .constructions import as_group
 
-        return as_group(parse_cayley_file(arg))
+        return as_group(table)
     try:
         order = int(arg)
     except ValueError:  # also raised past Python's digit limit for int()
@@ -115,9 +129,9 @@ def _cmd_compose(args):
 
 
 def _cmd_analyze(args):
+    semi = parse_cayley_file(args.cayley)
     from .semigroups import green_summary, is_block_group
 
-    semi = parse_cayley_file(args.cayley)
     green = green_summary(semi)
     block, pair = is_block_group(semi)
     results = {
@@ -249,10 +263,9 @@ def _cmd_campaign(args):
 
 
 def _cmd_divide(args):
+    source, target = parse_cayley_files(args.source, args.target)
     from .semigroups import find_division
 
-    source = parse_cayley_file(args.source)
-    target = parse_cayley_file(args.target)
     witness = find_division(source, target, max_generators=args.max_generators)
     if witness is None:
         note = (
@@ -380,6 +393,10 @@ def render(report, pretty: bool = False) -> str:
 
 
 def main(argv=None):
+    """The hallkit console script. Unlike dispatch, it sets the environment of its process."""
+    # Before any handler imports numpy: hallkit makes no BLAS call (its arrays are
+    # integer or boolean), so an OpenBLAS worker thread would only spin on another core.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     if argv is None:
         argv = sys.argv[1:]
     report, code = dispatch(argv)

@@ -5,6 +5,8 @@ which keeps relation product, union and containment down to a few integer ops.
 union_product is the batched numpy product behind relation-semigroup tables,
 subset products and the embedding check; compose stays the single product.
 SLAB is the one working-set budget of the slabbed kernels; slabs is its only reader.
+The text formats are parsed here, the Cayley table's text layer included, so
+that a bad input file is refused without numpy.
 All public I/O is 1-based; internal indices are 0-based.
 """
 
@@ -353,6 +355,46 @@ def parse_relmat(text: str) -> Relation:
             raise ValueError(f"line {lineno}: expected {n} characters from 0/1, got {line!r}")
         rows.append(sum(1 << j for j, ch in enumerate(line) if ch == "1"))
     return Relation(n, tuple(rows))
+
+
+def parse_cayley_text(text: str):
+    """The text layer of the Cayley table format (semigroups.parse_cayley): a label
+    header, k rows of 1-based indices in 1..k, and an optional identity=<label>
+    trailer. Returns (labels, rows of 0-based entries, trailer), with trailer None
+    or (lineno, label); needs no numpy, so a bad file is refused before it loads."""
+    entries = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
+    if not entries:
+        raise ValueError("line 1: empty table file")
+    lineno, head = entries[0]
+    labels = [x.strip() for x in head.split(",")]
+    if any(not x for x in labels):
+        raise ValueError(f"line {lineno}: empty label in header")
+    k = len(labels)
+    body = entries[1:]
+    trailer = body.pop() if body and body[-1][1].startswith("identity=") else None
+    if len(body) < k:
+        raise ValueError(f"expected {k} table rows, file ends after line {entries[-1][0]}")
+    if len(body) > k:
+        raise ValueError(f"line {body[k][0]}: unexpected content after {k} rows")
+    table = []
+    for lineno, line in body:
+        cells = [x.strip() for x in line.split(",")]
+        if len(cells) != k:
+            raise ValueError(f"line {lineno}: expected {k} entries, got {len(cells)}")
+        row = []
+        for cell in cells:
+            try:
+                v = int(cell)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad entry {cell!r}") from None
+            if not 1 <= v <= k:
+                raise ValueError(f"line {lineno}: entry {v} outside 1..{k}")
+            row.append(v - 1)
+        table.append(tuple(row))
+    if trailer is not None:
+        lineno, line = trailer
+        trailer = lineno, line.removeprefix("identity=").strip()
+    return labels, table, trailer
 
 
 def emit_relmat(r: Relation) -> str:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .relations import Relation, slabs, union_product
+from .relations import Relation, parse_cayley_text, slabs, union_product
 
 MAX_TABLE_SIZE = 5000
 MAX_DIVISION_TARGET = 12
@@ -201,6 +201,8 @@ def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
     if s.identity is not None:
         return s
     k = s.size
+    if k + 1 > MAX_TABLE_SIZE:  # checked before the (k+1) x (k+1) table is allocated
+        raise ValueError(f"table size {k + 1} (identity adjoined) exceeds the cap {MAX_TABLE_SIZE}")
     fresh = "1"
     while fresh in s.labels:
         fresh += "'"
@@ -423,47 +425,23 @@ def semigroup_of_relations(elements):
     return semi, elements
 
 
-def parse_cayley(text: str) -> FiniteSemigroup:
-    """Parse the Cayley table text format: a label header, k rows of 1-based
-    indices, and an optional identity=<label> trailer."""
-    entries = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
-    if not entries:
-        raise ValueError("line 1: empty table file")
-    lineno, head = entries[0]
-    labels = [x.strip() for x in head.split(",")]
-    if any(not x for x in labels):
-        raise ValueError(f"line {lineno}: empty label in header")
-    k = len(labels)
-    body = entries[1:]
-    trailer = body.pop() if body and body[-1][1].startswith("identity=") else None
-    if len(body) < k:
-        raise ValueError(f"expected {k} table rows, file ends after line {entries[-1][0]}")
-    if len(body) > k:
-        raise ValueError(f"line {body[k][0]}: unexpected content after {k} rows")
-    table = []
-    for lineno, line in body:
-        cells = [x.strip() for x in line.split(",")]
-        if len(cells) != k:
-            raise ValueError(f"line {lineno}: expected {k} entries, got {len(cells)}")
-        row = []
-        for cell in cells:
-            try:
-                v = int(cell)
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad entry {cell!r}") from None
-            if not 1 <= v <= k:
-                raise ValueError(f"line {lineno}: entry {v} outside 1..{k}")
-            row.append(v - 1)
-        table.append(tuple(row))
+def cayley_semigroup(labels, table, trailer) -> FiniteSemigroup:
+    """The table layer of parse_cayley: validate_table, then a check that the
+    trailer, None or (lineno, label) from parse_cayley_text, names the identity."""
     semi = validate_table(labels, table)
     if trailer is not None:
-        lineno, line = trailer
-        wanted = line.removeprefix("identity=").strip()
+        lineno, wanted = trailer
         if wanted not in semi.labels:
             raise ValueError(f"line {lineno}: identity label {wanted!r} not in header")
         if semi.identity != semi.labels.index(wanted):
             raise ValueError(f"line {lineno}: {wanted!r} is not an identity of the table")
     return semi
+
+
+def parse_cayley(text: str) -> FiniteSemigroup:
+    """Parse the Cayley table text format: a label header, k rows of 1-based
+    indices, and an optional identity=<label> trailer."""
+    return cayley_semigroup(*parse_cayley_text(text))
 
 
 def emit_cayley(s: FiniteSemigroup) -> str:

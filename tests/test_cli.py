@@ -34,6 +34,13 @@ def files(tmp_path):
     return paths
 
 
+@pytest.fixture
+def main_env(monkeypatch):
+    """main() sets OPENBLAS_NUM_THREADS=1 in os.environ; set first here, monkeypatch
+    puts back whatever this process had once the test ends."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
 def _hall2_text():
     from hallkit import emit_cayley, materialize_hall
 
@@ -97,6 +104,7 @@ def test_power_group_from_file(files):
     assert report["results"]["power_order"] == 3
 
 
+@pytest.mark.usefixtures("main_env")
 def test_power_group_over_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["power-group", "--group", "cyclic:13"])
@@ -182,6 +190,7 @@ def test_divide_not_found(files):
     assert "not a proof" in report["results"]["note"]
 
 
+@pytest.mark.usefixtures("main_env")
 def test_divide_huge_generator_bound(files, capsys):
     # the subset sizes stop at the target's size, so a hostile bound costs nothing
     start = time.perf_counter()
@@ -215,6 +224,7 @@ GOLDEN_REPORTS = {
     "divide-semilattice-hall2": (["divide", "semilattice.cay", "hall2.cay"], 0),
     "refuse-power-group-cyclic13": (["power-group", "--group", "cyclic:13"], 2),
     "refuse-analyze-nonassoc": (["analyze", "nonassoc.cay"], 2),
+    "refuse-analyze-outofrange": (["analyze", "outofrange.cay"], 2),
     "refuse-check-hall-missing": (["check-hall", "missing.rel"], 2),
     "refuse-check-hall-malformed": (["check-hall", "malformed.rel"], 2),
     "refuse-count-hall-9": (["count-hall", "--n", "9"], 2),
@@ -222,6 +232,7 @@ GOLDEN_REPORTS = {
 }
 
 
+@pytest.mark.usefixtures("main_env")
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
 def test_golden_reports(name, monkeypatch, capsys):
     argv, code = GOLDEN_REPORTS[name]
@@ -233,10 +244,12 @@ def test_golden_reports(name, monkeypatch, capsys):
 
 
 def _fresh_python(*args):
-    """Run a new interpreter inside tests/golden, on this checkout's sources."""
+    """Run a new interpreter inside tests/golden, on this checkout's sources, with
+    OPENBLAS_NUM_THREADS unset unless the program sets it."""
     src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run([sys.executable, *args], cwd=GOLDEN, capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+                          timeout=60, env={**env, "PYTHONPATH": src})
 
 
 HEAVY_MODULES = ("numpy", "concurrent.futures", "multiprocessing")
@@ -256,9 +269,17 @@ print(json.dumps([m for m in %r if m in sys.modules]))
       ["compose", "hall3.rel", "nonhall3.rel"], ["check-hall", "missing.rel"],
       ["power-group", "--group", "cyclic:x"], ["count-hall", "--n", "9"],
       ["count-hall", "--n", "0"]], []),
+    # Cayley text errors are refused by the text layer, before the table engine loads
+    ([["analyze", "missing.cay"], ["analyze", "outofrange.cay"], ["analyze", "malformed.rel"],
+      ["divide", "outofrange.cay", "hall2.cay"], ["divide", "hall2.cay", "missing.cay"],
+      ["embed", "--group", "file:missing.cay"], ["power-group", "--group", "file:outofrange.cay"]],
+     []),
+    # associativity is a table check
     ([["analyze", "hall2.cay"]], ["numpy"]),
+    ([["analyze", "nonassoc.cay"]], ["numpy"]),
     ([["count-hall", "--n", "3", "--workers", "1000000000"], ["campaign", "--n", "1"]], ["numpy"]),
-], ids=["import", "pure-relation-commands", "analyze", "count-in-process"])
+], ids=["import", "pure-relation-commands", "cayley-text-refusals", "analyze", "nonassoc",
+        "count-in-process"])
 def test_fresh_cli_loads_the_table_engine_only_when_used(argvs, loaded):
     # a subprocess, because this test process already holds numpy
     proc = _fresh_python("-c", LOADED_AFTER, json.dumps(argvs))
@@ -267,12 +288,48 @@ def test_fresh_cli_loads_the_table_engine_only_when_used(argvs, loaded):
 
 
 @pytest.mark.parametrize("name", ["check-hall-nonhall3", "compose-hall3-nonhall3",
-                                  "refuse-power-group-cyclic-x"])
+                                  "refuse-power-group-cyclic-x", "refuse-analyze-outofrange"])
 def test_golden_reports_from_the_entry_point(name):
     argv, code = GOLDEN_REPORTS[name]
     proc = _fresh_python("-m", "hallkit.cli", *argv, "--no-timing")
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+THREADS_AFTER = """
+import os, sys
+from hallkit.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(f"{code} {'numpy' in sys.modules} {len(os.listdir('/proc/self/task'))}")
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("argv", [["analyze", "hall2.cay"], ["power-group", "--group", "cyclic:4"]])
+def test_fresh_cli_runs_the_table_engine_on_one_thread(argv):
+    # main() asks OpenBLAS for no worker thread: hallkit makes no BLAS call
+    proc = _fresh_python("-c", THREADS_AFTER, *argv, "--no-timing")
+    assert proc.stderr == "0 True 1"
+
+
+ENVIRON_AFTER = """
+import json, os, sys
+before = dict(os.environ)
+import hallkit.cli
+for argv in json.loads(sys.argv[1]):
+    hallkit.cli.dispatch(argv)
+print(json.dumps([dict(os.environ) == before, "numpy" in sys.modules]))
+"""
+
+
+def test_import_and_dispatch_leave_the_environment_alone():
+    argvs = [["analyze", "hall2.cay"], ["count-hall", "--n", "2"], ["analyze", "missing.cay"]]
+    proc = _fresh_python("-c", ENVIRON_AFTER, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, True]
 
 
 def test_input_error_exit_code(files):
@@ -336,6 +393,7 @@ def test_render_pretty(files):
     assert "witness" in text
 
 
+@pytest.mark.usefixtures("main_env")
 def test_main_exit_codes(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count-hall", "--n", "2", "--no-timing"])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,17 @@ def test_adjoin_identity_left_zero():
     assert m.size == 3 and m.identity == 2
     assert m.mul(0, 1) == 0 and m.mul(2, 1) == 1
     assert adjoin_identity(m) is m
+
+
+def test_adjoin_identity_checks_the_table_cap_first(monkeypatch):
+    monkeypatch.setattr(semigroups, "MAX_TABLE_SIZE", 2)
+    with monkeypatch.context() as m:
+        m.setattr(np, "block", None)  # so the refusal comes before the bigger table is built
+        with pytest.raises(ValueError, match=r"^table size 3 \(identity adjoined\) exceeds the cap 2$"):
+            adjoin_identity(LEFT_ZERO)
+        assert adjoin_identity(Z2) is Z2  # a monoid at the cap is returned as it is
+    monkeypatch.setattr(semigroups, "MAX_TABLE_SIZE", 3)
+    assert adjoin_identity(LEFT_ZERO).size == 3
 
 
 # idempotents
@@ -556,3 +568,17 @@ def test_cayley_parse_errors():
         parse_cayley("e,a\n1,2\n2,1\nidentity=a\n")
     with pytest.raises(ValueError, match="not associative"):
         parse_cayley("x,y\n2,1\n1,1\n")
+
+
+def test_cayley_text_layer():
+    text = "e,a\n1,2\n2,1\n\nidentity= a \n"
+    assert relations.parse_cayley_text(text) == (["e", "a"], [(0, 1), (1, 0)], (5, "a"))
+    with pytest.raises(ValueError, match="line 5: 'a' is not an identity"):
+        parse_cayley(text)  # the trailer names a label; only the table layer can check it
+    # a text fault is refused by the text layer, with parse_cayley's message
+    for text in ("", "e,\n1\n", "e,a\n1,2\n", "e,a\n1,2\n2,1\n1,1\n", "e,a\n1,2\n2,3\n",
+                 "e,a\n1,2\n2,y\n", "e,a\n1,2\n2\n", "e,e\n1,3\n1,1\n"):
+        with pytest.raises(ValueError) as text_layer:
+            relations.parse_cayley_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(text_layer.value))}$"):
+            parse_cayley(text)
